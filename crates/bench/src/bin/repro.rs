@@ -25,7 +25,7 @@
 //! ```
 
 use glt::WaitPolicy;
-use omp::{OmpConfig, OmpRuntime, OmpRuntimeExt};
+use omp::{OmpRuntime, OmpRuntimeExt};
 use workloads::runtimes::RuntimeKind;
 use workloads::{cg, clover, micro, uts};
 
@@ -252,15 +252,15 @@ fn shape_check(opts: &Opts) {
     //    re-arming a parked team must bring GLTO(ABT) within 3x of ICC
     //    (the gap the feature exists to close).
     {
+        let cfg = paper_config(threads, WaitPolicy::Active);
         let assign = |kind: RuntimeKind| {
-            let rt = kind.build(paper_config(threads, WaitPolicy::Active));
+            let rt = kind.build(cfg.clone());
             let _ = micro::work_assignment_ns(rt.as_ref(), 50); // warm-up
             micro::work_assignment_ns(rt.as_ref(), 2000)
         };
         let intel = assign(RuntimeKind::Intel);
         let abt = assign(RuntimeKind::GltoAbt);
-        let hot = OmpConfig::hot_ults_from_env().unwrap_or(false);
-        if hot {
+        if cfg.hot_ults {
             report(
                 "work assignment: hot GLTO(ABT) within 3x of ICC",
                 abt < 3.0 * intel,
@@ -606,28 +606,11 @@ fn steal_locality(opts: &Opts) {
                 );
                 let label = format!("{}/{layout}", kind.label());
                 record_result("steal_locality", &label, n, st.mean() * 1e9, st.min() * 1e9);
-                record_counter("steal_locality", &label, n, "steals", s.steals);
-                record_counter(
-                    "steal_locality",
-                    &label,
-                    n,
-                    "steals_same_domain",
-                    s.steals_same_domain,
-                );
-                record_counter(
-                    "steal_locality",
-                    &label,
-                    n,
-                    "steals_cross_domain",
-                    s.steals_cross_domain,
-                );
-                record_counter(
-                    "steal_locality",
-                    &label,
-                    n,
-                    "domain_migrations",
-                    s.domain_migrations,
-                );
+                for (c, v) in s.iter() {
+                    if c.starts_with("steals") || c == "domain_migrations" {
+                        record_counter("steal_locality", &label, n, c, v);
+                    }
+                }
             }
         }
     }
@@ -718,21 +701,9 @@ fn service_target(opts: &Opts) {
                 "throughput_jobs_per_s",
                 throughput.round() as u64,
             );
-            record_counter(
-                "service",
-                kind.label(),
-                n,
-                "jobs_admitted",
-                report.service.jobs_admitted,
-            );
-            record_counter("service", kind.label(), n, "jobs_queued", report.service.jobs_queued);
-            record_counter(
-                "service",
-                kind.label(),
-                n,
-                "jobs_rejected",
-                report.service.jobs_rejected,
-            );
+            for (c, v) in report.service.iter().filter(|(c, _)| c.starts_with("jobs_")) {
+                record_counter("service", kind.label(), n, c, v);
+            }
             record_counter(
                 "service",
                 kind.label(),
@@ -817,7 +788,6 @@ fn adaptive_target(opts: &Opts) {
     ];
 
     let n = opts.threads_override.as_ref().and_then(|t| t.last().copied()).unwrap_or(4);
-    let trace = std::env::var("OMP_ADAPTIVE_TRACE").is_ok_and(|v| v.trim() == "1");
     println!("# adaptive — mechanism selection vs the composed specialists");
     println!("figure,scenario,runtime,threads,mean_ns,reps");
     for sc in &scens {
@@ -833,9 +803,6 @@ fn adaptive_target(opts: &Opts) {
             if kind == RuntimeKind::GltoAbt {
                 cfg = cfg.hot_ults(true);
             }
-            if kind == RuntimeKind::Adaptive && trace {
-                cfg = cfg.adaptive_trace(true);
-            }
             let rt = kind.build(cfg);
             for _ in 0..16 {
                 (sc.run)(rt.as_ref()); // warm pools, hot teams, and commits
@@ -847,12 +814,7 @@ fn adaptive_target(opts: &Opts) {
             record_result(&target, kind.label(), n, mean_ns, st.min() * 1e9);
             if kind == RuntimeKind::Adaptive {
                 let s = rt.counters().snapshot();
-                for (c, v) in [
-                    ("adaptive_probes", s.adaptive_probes),
-                    ("adaptive_commits_os", s.adaptive_commits_os),
-                    ("adaptive_commits_ult", s.adaptive_commits_ult),
-                    ("adaptive_reprobes", s.adaptive_reprobes),
-                ] {
+                for (c, v) in s.iter().filter(|(c, _)| c.starts_with("adaptive_")) {
                     record_counter(&target, kind.label(), n, c, v);
                 }
                 println!(

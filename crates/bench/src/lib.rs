@@ -69,15 +69,17 @@ pub fn secs(d: Duration) -> f64 {
 
 /// Build an `OmpConfig` the way the paper configures runs (§VI-A):
 /// `OMP_NESTED=true`, `OMP_PROC_BIND=true`, wait policy per scenario.
-/// `GLTO_HOT_ULTS` is honored so every repro target can be re-run in
-/// hot-ULT-team mode without code changes.
+/// `GLTO_HOT_ULTS` and `OMP_ADAPTIVE_TRACE` are honored (through the
+/// once-parsed process default) so every repro target can be re-run in
+/// hot-ULT-team mode, or with decision traces, without code changes.
 #[must_use]
 pub fn paper_config(threads: usize, wait: glt::WaitPolicy) -> OmpConfig {
-    let cfg = OmpConfig::with_threads(threads).nested(true).wait_policy(wait);
-    match OmpConfig::hot_ults_from_env() {
-        Some(hot) => cfg.hot_ults(hot),
-        None => cfg,
-    }
+    let env = OmpConfig::process_default();
+    OmpConfig::with_threads(threads)
+        .nested(true)
+        .wait_policy(wait)
+        .hot_ults(env.hot_ults)
+        .adaptive_trace(env.adaptive_trace)
 }
 
 /// Print a CSV header for figure sweeps.

@@ -26,8 +26,9 @@
 //!   arbitrary user code until its next `push`/`pop_own`/`steal`.
 //! * A thread that must block *outside* the scheduler (OpenMP locks,
 //!   `critical`, `ordered` tickets) would deadlock the token, so
-//!   [`DetScheduler`] installs a [`glt::coop`] handle for every worker:
-//!   those waits spin with [`Stepper::acquire`] as the cooperative yield.
+//!   [`DetScheduler`] reports itself `schedule_controlled` and those waits
+//!   probe/yield through [`glt::coop`], with [`Stepper::acquire`] as the
+//!   yield ([`Scheduler::waiter_yield`]).
 //! * Shutdown ([`Scheduler::on_shutdown`], called first thing in the
 //!   runtime's `Drop`) and a stall watchdog both flip the stepper into
 //!   `free_run`, releasing every thread, so a missed cooperative path
@@ -49,11 +50,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use glt::{coop, GltConfig, Placement, Runtime, Scheduler, Stolen, Topology, Unit, WaitPolicy};
+use glt::{GltConfig, Placement, Runtime, Scheduler, Stolen, Topology, Unit, WaitPolicy};
 use parking_lot::{Condvar, Mutex};
-
-/// Distinguishes stepper instances in the thread-local [`glt::coop`] stack.
-static NEXT_STEPPER_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Arms the planted cross-domain starvation bug (see
 /// [`plant_cross_starvation`]).
@@ -432,24 +430,9 @@ impl Stepper {
     }
 }
 
-/// Cooperative-yield handle installed for every controlled thread: an
-/// OS-blocking wait in the OpenMP layers re-probes its condition with this
-/// between attempts, handing the token onward instead of deadlocking it.
-struct DetCoop {
-    stepper: Arc<Stepper>,
-    rank: usize,
-}
-
-impl coop::CoopWait for DetCoop {
-    fn coop_yield(&self) {
-        self.stepper.acquire(self.rank);
-    }
-}
-
 /// The deterministic scheduler: per-worker pools (collapsed to one in
 /// `GLT_SHARED_QUEUES` mode) behind the [`Stepper`] token.
 pub struct DetScheduler {
-    id: u64,
     n: usize,
     shared: bool,
     /// `(push token, unit)` pairs. The token is a scheduler-local creation
@@ -485,7 +468,6 @@ impl DetScheduler {
         let shared = cfg.shared_queues;
         let npools = if shared { 1 } else { n };
         DetScheduler {
-            id: NEXT_STEPPER_ID.fetch_add(1, Ordering::Relaxed),
             n,
             shared,
             pools: (0..npools).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -668,17 +650,11 @@ impl Scheduler for DetScheduler {
         self.pools.iter().map(|p| p.lock().len()).sum()
     }
 
-    fn on_worker_start(&self, rank: usize) {
-        coop::install(self.id, Arc::new(DetCoop { stepper: Arc::clone(&self.stepper), rank }));
-    }
-
     fn on_shutdown(&self) {
+        // Registrations outlive this (the runtime removes them when its
+        // threads exit), which is harmless post-free_run: `acquire` returns
+        // immediately, so cooperative probes degrade to spinning.
         self.stepper.release_all();
-        // Only the calling thread's handle can be removed here (the
-        // registry is thread-local); worker threads drop theirs when they
-        // exit. A leftover handle is harmless post-free_run: `acquire`
-        // returns immediately, so cooperative probes degrade to spinning.
-        coop::uninstall(self.id);
     }
 
     fn shared_queues(&self) -> bool {

@@ -5,6 +5,13 @@
 //! threads, one of which is the calling thread), and `GLT_SHARED_QUEUES`
 //! switches every backend to a single shared work queue, which the paper
 //! uses to neutralize load imbalance (§IV-F).
+//!
+//! The environment is read only by `*::from_env` wrappers and runtime
+//! constructors. Each config struct has one pure parse,
+//! `from_vars(lookup) -> (config, warnings)`, built on the shared [`Vars`]
+//! reader: an absent knob keeps its default silently, a malformed one
+//! keeps its default and yields exactly one ``ignoring NAME=`value` ``
+//! warning.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -30,16 +37,62 @@ pub enum WaitPolicy {
 }
 
 impl WaitPolicy {
-    /// Parse from the conventional environment-variable spelling
-    /// (`"active"` / `"passive"`, case-insensitive). Anything else maps to
-    /// the implementation default, [`WaitPolicy::Passive`], matching the
-    /// `OMP_WAIT_POLICY=default` setting the paper uses for task codes.
-    #[must_use]
-    pub fn from_env_str(s: &str) -> Self {
+    /// Parse the `OMP_WAIT_POLICY` spelling (case-insensitive): `active`,
+    /// `passive`, or `default` — the implementation default
+    /// [`WaitPolicy::Passive`], the setting the paper uses for task codes.
+    ///
+    /// # Errors
+    /// The accepted spellings, for any other value.
+    pub fn parse(s: &str) -> Result<Self, String> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "active" => WaitPolicy::Active,
-            _ => WaitPolicy::Passive,
+            "active" => Ok(WaitPolicy::Active),
+            "passive" | "default" => Ok(WaitPolicy::Passive),
+            _ => Err("expected active|passive|default".to_string()),
         }
+    }
+}
+
+/// Reader for a set of configuration knobs: looks each name up through the
+/// caller's closure (the process environment in `from_env`, a table in
+/// tests) and collects one warning per malformed value.
+pub struct Vars<'a> {
+    /// Where knob values come from.
+    pub lookup: &'a dyn Fn(&str) -> Option<String>,
+    /// One ``ignoring NAME=`value`: reason`` entry per malformed knob so far.
+    pub warnings: Vec<String>,
+}
+
+impl Vars<'_> {
+    /// The knob `name` run through `parse` (which sees the trimmed value).
+    /// `None` when the knob is absent, and when it is malformed — then
+    /// `parse`'s reason is also recorded as a warning.
+    pub fn parsed<T>(
+        &mut self,
+        name: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Option<T> {
+        let raw = (self.lookup)(name)?;
+        match parse(raw.trim()) {
+            Ok(v) => Some(v),
+            Err(why) => {
+                self.warnings.push(format!("ignoring {name}=`{raw}`: {why}"));
+                None
+            }
+        }
+    }
+
+    /// An on/off knob: `1|true|yes` or `0|false|no`, case-insensitive.
+    pub fn flag(&mut self, name: &str) -> Option<bool> {
+        self.parsed(name, |s| match s.to_ascii_lowercase().as_str() {
+            "1" | "true" | "yes" => Ok(true),
+            "0" | "false" | "no" => Ok(false),
+            _ => Err("expected 1|true|yes or 0|false|no".to_string()),
+        })
+    }
+
+    /// A non-negative integer knob.
+    pub fn number<T: std::str::FromStr>(&mut self, name: &str) -> Option<T> {
+        self.parsed(name, |s| s.parse().map_err(|_| "not a non-negative integer".to_string()))
     }
 }
 
@@ -57,10 +110,6 @@ pub struct GltConfig {
     pub shared_queues: bool,
     /// Idle-wait behaviour for workers and joiners.
     pub wait_policy: WaitPolicy,
-    /// Record the intent to bind workers to cores (`OMP_PROC_BIND`-like).
-    /// On the evaluation container this is advisory only; we keep the flag
-    /// so runs record whether binding was requested.
-    pub pin_threads: bool,
     /// Spin iterations before a passive waiter parks.
     pub spin_before_park: u32,
     /// Park timeout used as a lost-wakeup backstop.
@@ -89,7 +138,6 @@ impl Default for GltConfig {
             num_threads: 4,
             shared_queues: false,
             wait_policy: WaitPolicy::Passive,
-            pin_threads: true,
             spin_before_park: 64,
             park_timeout: Duration::from_millis(1),
             topology: None,
@@ -106,25 +154,32 @@ impl GltConfig {
         GltConfig { num_threads: n.max(1), ..Self::default() }
     }
 
-    /// Build a configuration from the process environment, mirroring the
-    /// paper's variables: `GLT_NUM_THREADS`, `GLT_SHARED_QUEUES`, and
-    /// `OMP_WAIT_POLICY`.
+    /// Build a configuration from the knobs `lookup` serves, mirroring the
+    /// paper's variables: `GLT_NUM_THREADS`, `GLT_SHARED_QUEUES`,
+    /// `OMP_WAIT_POLICY` and `GLT_TOPOLOGY`. Returns the configuration and
+    /// one warning per malformed knob (which keeps its default).
+    #[must_use]
+    pub fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> (Self, Vec<String>) {
+        let mut vars = Vars { lookup: &lookup, warnings: Vec::new() };
+        let d = Self::default();
+        let cfg = GltConfig {
+            num_threads: vars.number("GLT_NUM_THREADS").map_or(d.num_threads, |n: usize| n.max(1)),
+            shared_queues: vars.flag("GLT_SHARED_QUEUES").unwrap_or(d.shared_queues),
+            wait_policy: vars.parsed("OMP_WAIT_POLICY", WaitPolicy::parse).unwrap_or(d.wait_policy),
+            topology: vars.parsed("GLT_TOPOLOGY", Topology::parse),
+            ..d
+        };
+        (cfg, vars.warnings)
+    }
+
+    /// [`GltConfig::from_vars`] over the process environment, printing each
+    /// warning to stderr once.
     #[must_use]
     pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Ok(v) = std::env::var("GLT_NUM_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                cfg.num_threads = n.max(1);
-            }
+        let (cfg, warnings) = Self::from_vars(|name| std::env::var(name).ok());
+        for w in warnings {
+            eprintln!("glt: {w}");
         }
-        if let Ok(v) = std::env::var("GLT_SHARED_QUEUES") {
-            let v = v.trim().to_ascii_lowercase();
-            cfg.shared_queues = v == "1" || v == "true" || v == "yes";
-        }
-        if let Ok(v) = std::env::var("OMP_WAIT_POLICY") {
-            cfg.wait_policy = WaitPolicy::from_env_str(&v);
-        }
-        cfg.topology = Topology::from_env();
         cfg
     }
 
@@ -189,11 +244,42 @@ mod tests {
 
     #[test]
     fn wait_policy_parses_known_and_unknown() {
-        assert_eq!(WaitPolicy::from_env_str("ACTIVE"), WaitPolicy::Active);
-        assert_eq!(WaitPolicy::from_env_str(" active "), WaitPolicy::Active);
-        assert_eq!(WaitPolicy::from_env_str("passive"), WaitPolicy::Passive);
-        assert_eq!(WaitPolicy::from_env_str("default"), WaitPolicy::Passive);
-        assert_eq!(WaitPolicy::from_env_str(""), WaitPolicy::Passive);
+        assert_eq!(WaitPolicy::parse("ACTIVE"), Ok(WaitPolicy::Active));
+        assert_eq!(WaitPolicy::parse(" active "), Ok(WaitPolicy::Active));
+        assert_eq!(WaitPolicy::parse("passive"), Ok(WaitPolicy::Passive));
+        assert_eq!(WaitPolicy::parse("default"), Ok(WaitPolicy::Passive));
+        assert!(WaitPolicy::parse("").is_err());
+        assert!(WaitPolicy::parse("busy").is_err());
+    }
+
+    #[test]
+    fn from_vars_every_knob_valid_malformed_absent() {
+        fn dbg(v: impl std::fmt::Debug) -> String {
+            format!("{v:?}")
+        }
+        // knob, valid spelling, malformed spelling, the field it lands in,
+        // that field after the valid spelling.
+        type Row = (&'static str, &'static str, &'static str, fn(&GltConfig) -> String, String);
+        let table: [Row; 4] = [
+            ("GLT_NUM_THREADS", " 0 ", "many", |c| dbg(c.num_threads), dbg(1)),
+            ("GLT_SHARED_QUEUES", "YES", "on", |c| dbg(c.shared_queues), dbg(true)),
+            ("OMP_WAIT_POLICY", "Active", "busy", |c| dbg(c.wait_policy), dbg(WaitPolicy::Active)),
+            ("GLT_TOPOLOGY", "2x4", "2x0", |c| dbg(c.topology), dbg(Some(Topology::new(2, 4, 1)))),
+        ];
+        for (knob, valid, malformed, field, want) in table {
+            let with = |value: Option<&str>| {
+                let (c, w) =
+                    GltConfig::from_vars(|k| value.filter(|_| k == knob).map(str::to_owned));
+                (field(&c), w)
+            };
+            let default = field(&GltConfig::default());
+            assert_ne!(want, default, "{knob}: the valid row must move the field");
+            assert_eq!(with(Some(valid)), (want, vec![]), "{knob}={valid}");
+            assert_eq!(with(None), (default.clone(), vec![]), "{knob} absent");
+            let (got, w) = with(Some(malformed));
+            assert_eq!((got, w.len()), (default, 1), "{knob}={malformed} keeps the default: {w:?}");
+            assert!(w[0].starts_with(&format!("ignoring {knob}=`{malformed}`: ")), "{}", w[0]);
+        }
     }
 
     #[test]

@@ -1,88 +1,28 @@
-//! Cooperative-wait registration for schedule-controlled threads.
+//! Per-thread runtime registration: the one hook between blocking waits in
+//! the OpenMP layers and the GLT scheduler underneath.
 //!
-//! The deterministic stepper backend (`glt-det`) serializes all GLT_threads
-//! through a single run token: exactly one registered thread executes at a
-//! time, and the token only changes hands at scheduler entry points
-//! (`push`/`pop_own`/`steal`). That model breaks if a token holder blocks
-//! in an *OS-level* wait (a mutex or condvar) for a condition only another
-//! — currently suspended — thread can establish: the holder never reaches a
-//! scheduler entry, so the token never moves and the runtime deadlocks.
+//! Every thread a GLT runtime registers (rank 0 at start, workers at loop
+//! entry) carries one registration per runtime: the runtime's id, the
+//! thread's rank in it, and a [`SyncWaiter`] routing to the backend's
+//! scheduler. That single stack answers every per-thread question the
+//! stack above asks: which rank am I in runtime `id` ([`rank_in`]), which
+//! runtime instance scopes my lock state ([`current_runtime_id`]), how do I
+//! give the scheduler a turn ([`yield_to_scheduler`]), may I raw-spin or
+//! block in the kernel ([`schedule_controlled`], [`coop_acquire`]), and
+//! whose counters do my slow paths charge ([`with_sync_counters`]).
 //!
-//! The fix is this registry: a controlled thread carries a [`CoopWait`]
-//! handle, and every OS-blocking wait in the OpenMP layers (`critical`
-//! locks, `omp_set_lock`, `ordered` tickets) asks [`current`] first. If a
-//! handle is installed, the wait loops on its condition with
-//! [`CoopWait::coop_yield`] between probes — handing the token to another
-//! thread — instead of blocking in the kernel. Threads without a handle
-//! (every non-deterministic runtime) keep their normal blocking paths.
+//! `omp` locks, criticals and barrier loops yield through the innermost
+//! waiter when a probe fails instead of burning the worker an entire OS
+//! timeslice while the lock holder waits to run — the classic spin-lock
+//! pathology of LWT environments. Under the deterministic stepper
+//! (`glt-det`) all registered threads share a single run token that only
+//! changes hands at scheduler entry points, so a token holder that blocked
+//! in an *OS-level* wait (mutex, condvar) or spun without yielding would
+//! wedge the schedule; its waiter reports `schedule_controlled()` and every
+//! such wait becomes a probe/yield loop through [`coop_acquire`].
 
 use std::cell::RefCell;
 use std::sync::Arc;
-
-/// A cooperative yield point installed for schedule-controlled threads.
-pub trait CoopWait: Send + Sync {
-    /// Give other controlled threads a chance to run. Called by a thread
-    /// that is about to re-probe a condition outside the scheduler (lock
-    /// acquisition, ordered ticket, …). Must return once the caller is
-    /// allowed to run again; must not execute queued work units (lock
-    /// acquisition is not an OpenMP task scheduling point).
-    fn coop_yield(&self);
-}
-
-thread_local! {
-    /// Installed handles, newest last. A stack because one OS thread can be
-    /// registered with nested/successive runtimes; the innermost (latest)
-    /// controller wins.
-    static HANDLES: RefCell<Vec<(u64, Arc<dyn CoopWait>)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Install a handle for the calling thread under controller id `id`
-/// (typically the scheduler instance's id). Replaces a previous handle
-/// with the same id.
-pub fn install(id: u64, handle: Arc<dyn CoopWait>) {
-    HANDLES.with(|h| {
-        let mut v = h.borrow_mut();
-        v.retain(|(i, _)| *i != id);
-        v.push((id, handle));
-    });
-}
-
-/// Remove the calling thread's handle for controller `id` (no-op if absent).
-pub fn uninstall(id: u64) {
-    HANDLES.with(|h| h.borrow_mut().retain(|(i, _)| *i != id));
-}
-
-/// The innermost handle installed for the calling thread, if any.
-#[must_use]
-pub fn current() -> Option<Arc<dyn CoopWait>> {
-    HANDLES.with(|h| h.borrow().last().map(|(_, c)| Arc::clone(c)))
-}
-
-/// Spin on `try_acquire` with cooperative yields until it succeeds, or
-/// return `None` immediately if the calling thread has no handle installed
-/// (the caller should then use its normal OS-blocking path).
-pub fn coop_acquire<T>(mut try_acquire: impl FnMut() -> Option<T>) -> Option<T> {
-    let handle = current()?;
-    loop {
-        if let Some(v) = try_acquire() {
-            return Some(v);
-        }
-        handle.coop_yield();
-    }
-}
-
-// ------------------------------------------------------------ sync waiters
-//
-// A second, independent registry for the *scheduler-aware blocking*
-// discipline (ROADMAP item 4): workers of every GLT backend install a
-// [`SyncWaiter`] so that `omp` locks, criticals, and barrier loops can
-// yield to the worker's scheduler when a probe fails, instead of burning
-// the worker an entire OS timeslice while the lock holder waits to run —
-// the classic spin-lock pathology of LWT environments. This is distinct
-// from [`CoopWait`] on purpose: `coop_acquire` converts a blocking wait
-// into an *unbounded* cooperative spin and is only safe (and only
-// installed) under the deterministic stepper, whereas a `SyncWaiter` is a
-// bounded-spin escape hatch that every backend provides.
 
 use crate::counters::Counters;
 
@@ -111,46 +51,64 @@ pub trait SyncWaiter: Send + Sync {
     }
 }
 
-thread_local! {
-    /// Installed sync waiters, newest last (same stack discipline as
-    /// `HANDLES`: the innermost runtime controls the thread).
-    static WAITERS: RefCell<Vec<(u64, Arc<dyn SyncWaiter>)>> = const { RefCell::new(Vec::new()) };
+/// One runtime's claim on the calling thread.
+struct Registration {
+    id: u64,
+    rank: usize,
+    waiter: Arc<dyn SyncWaiter>,
 }
 
-/// Install a sync waiter for the calling thread under runtime id `id`.
-/// Replaces a previous waiter with the same id.
-pub fn install_waiter(id: u64, waiter: Arc<dyn SyncWaiter>) {
-    WAITERS.with(|w| {
-        let mut v = w.borrow_mut();
-        v.retain(|(i, _)| *i != id);
-        v.push((id, waiter));
+thread_local! {
+    /// Registrations, newest last. A stack because one OS thread can be
+    /// registered with nested/successive runtimes (benchmarks that sweep
+    /// configurations, a unit that starts its own runtime); the innermost
+    /// (latest) runtime controls the thread, while rank lookups go by id.
+    /// Waiters are always cloned out and called *after* the borrow ends: a
+    /// yield may run code that starts a nested runtime and re-enters
+    /// [`register`].
+    static REGISTRATIONS: RefCell<Vec<Registration>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Register the calling thread as `rank` of runtime `id`, reachable through
+/// `waiter`. Replaces a previous registration with the same id.
+pub fn register(id: u64, rank: usize, waiter: Arc<dyn SyncWaiter>) {
+    unregister(id);
+    REGISTRATIONS.with(|r| r.borrow_mut().push(Registration { id, rank, waiter }));
+}
+
+/// Remove the calling thread's registration with runtime `id` (no-op if
+/// absent).
+pub fn unregister(id: u64) {
+    // The removed entry leaves the closure so its waiter drops unborrowed.
+    let _removed = REGISTRATIONS.with(|r| {
+        let mut v = r.borrow_mut();
+        v.iter().position(|e| e.id == id).map(|i| v.remove(i))
     });
 }
 
-/// Remove the calling thread's sync waiter for runtime `id` (no-op if
-/// absent).
-pub fn uninstall_waiter(id: u64) {
-    WAITERS.with(|w| w.borrow_mut().retain(|(i, _)| *i != id));
+/// The calling thread's rank in runtime `id`, if registered there.
+#[must_use]
+pub fn rank_in(id: u64) -> Option<usize> {
+    REGISTRATIONS.with(|r| r.borrow().iter().rev().find(|e| e.id == id).map(|e| e.rank))
 }
 
 /// The innermost sync waiter installed for the calling thread, if any.
-#[must_use]
-pub fn current_waiter() -> Option<Arc<dyn SyncWaiter>> {
-    WAITERS.with(|w| w.borrow().last().map(|(_, s)| Arc::clone(s)))
+fn current_waiter() -> Option<Arc<dyn SyncWaiter>> {
+    REGISTRATIONS.with(|r| r.borrow().last().map(|e| Arc::clone(&e.waiter)))
 }
 
-/// The runtime id the innermost sync waiter was installed under, if any.
+/// The id of the innermost runtime the calling thread is registered with.
 ///
 /// This is the key the `omp` layer scopes per-runtime synchronization
 /// state by (nest-lock owner tokens, fault-injection arming): every thread
 /// a GLT runtime registers — rank 0 and workers alike — carries the same
 /// id, so state keyed by it is shared exactly across one runtime instance
-/// and never across coexisting instances. Threads with no waiter (external
+/// and never across coexisting instances. Unregistered threads (external
 /// submitters, pthread-style runtimes) return `None` and share a common
 /// fallback namespace.
 #[must_use]
 pub fn current_runtime_id() -> Option<u64> {
-    WAITERS.with(|w| w.borrow().last().map(|(i, _)| *i))
+    REGISTRATIONS.with(|r| r.borrow().last().map(|e| e.id))
 }
 
 /// Yield to the calling thread's scheduler: the innermost installed
@@ -176,6 +134,22 @@ pub fn schedule_controlled() -> bool {
 pub fn with_sync_counters(f: impl FnOnce(&Counters)) {
     if let Some(w) = current_waiter() {
         f(w.counters());
+    }
+}
+
+/// Turn an OS-blocking wait into a probe/yield loop when the calling
+/// thread is schedule-controlled: probe `try_acquire`, yielding through the
+/// innermost waiter between failures, until it succeeds. Returns `None`
+/// immediately on any other thread (no waiter, or an uncontrolled one) —
+/// the caller should then use its normal blocking path, which is the
+/// cheaper wait whenever blocking cannot wedge the schedule.
+pub fn coop_acquire<T>(mut try_acquire: impl FnMut() -> Option<T>) -> Option<T> {
+    let waiter = current_waiter().filter(|w| w.schedule_controlled())?;
+    loop {
+        if let Some(v) = try_acquire() {
+            return Some(v);
+        }
+        waiter.yield_to_scheduler();
     }
 }
 
@@ -224,7 +198,7 @@ impl SpinWait {
         self.yields += 1;
         if self.passive
             && self.yields.is_multiple_of(Self::YIELDS_PER_SLEEP)
-            && current_waiter().is_none()
+            && current_runtime_id().is_none()
         {
             std::thread::sleep(std::time::Duration::from_micros(20));
         } else {
@@ -246,63 +220,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    struct CountYield(AtomicU64);
-    impl CoopWait for CountYield {
-        fn coop_yield(&self) {
-            self.0.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[test]
-    fn no_handle_means_none() {
-        assert!(current().is_none());
-        assert!(coop_acquire(|| Some(1)).is_none());
-    }
-
-    #[test]
-    fn install_stack_and_acquire() {
-        let a = Arc::new(CountYield(AtomicU64::new(0)));
-        install(1, a.clone());
-        let b = Arc::new(CountYield(AtomicU64::new(0)));
-        install(2, b.clone());
-
-        // Innermost handle is used and yields until the probe succeeds.
-        let mut tries = 0;
-        let got = coop_acquire(|| {
-            tries += 1;
-            (tries == 4).then_some("ok")
-        });
-        assert_eq!(got, Some("ok"));
-        assert_eq!(b.0.load(Ordering::Relaxed), 3);
-        assert_eq!(a.0.load(Ordering::Relaxed), 0);
-
-        uninstall(2);
-        assert!(coop_acquire(|| Some(())).is_some());
-        assert_eq!(a.0.load(Ordering::Relaxed), 0, "probe succeeded first try");
-        uninstall(1);
-        assert!(current().is_none());
-    }
-
-    #[test]
-    fn reinstall_same_id_replaces() {
-        let a = Arc::new(CountYield(AtomicU64::new(0)));
-        install(7, a.clone());
-        let b = Arc::new(CountYield(AtomicU64::new(0)));
-        install(7, b.clone());
-        let mut once = false;
-        coop_acquire(|| {
-            if once {
-                Some(())
-            } else {
-                once = true;
-                None
-            }
-        });
-        assert_eq!(a.0.load(Ordering::Relaxed), 0);
-        assert_eq!(b.0.load(Ordering::Relaxed), 1);
-        uninstall(7);
-    }
-
     struct TestWaiter {
         yields: AtomicU64,
         counters: Counters,
@@ -315,6 +232,9 @@ mod tests {
                 counters: Counters::new(),
                 controlled,
             })
+        }
+        fn yields(&self) -> u64 {
+            self.yields.load(Ordering::Relaxed)
         }
     }
     impl SyncWaiter for TestWaiter {
@@ -330,68 +250,118 @@ mod tests {
     }
 
     #[test]
+    fn coop_acquire_needs_a_controlled_innermost_waiter() {
+        let mut probes = 0;
+        let mut probe_until = |n: u32| {
+            probes = 0;
+            coop_acquire(|| {
+                probes += 1;
+                (probes == n).then_some("ok")
+            })
+        };
+
+        // No waiter, and an uncontrolled one: `None`, even for a probe that
+        // would succeed — the caller keeps its blocking path.
+        assert!(probe_until(1).is_none());
+        let plain = TestWaiter::new(false);
+        register(1, 0, plain.clone());
+        assert!(probe_until(1).is_none());
+        assert_eq!(plain.yields(), 0);
+
+        // Controlled innermost waiter: probe, yield, probe, … until success.
+        let det = TestWaiter::new(true);
+        register(2, 3, det.clone());
+        assert_eq!(probe_until(4), Some("ok"));
+        assert_eq!(det.yields(), 3, "one yield per failed probe");
+        assert_eq!(plain.yields(), 0, "outer waiter is never consulted");
+        assert_eq!(probe_until(1), Some("ok"));
+        assert_eq!(det.yields(), 3, "a first-try success does not yield");
+
+        // Innermost wins in both directions: an uncontrolled runtime nested
+        // over the controlled one turns the cooperative path off again…
+        let inner = TestWaiter::new(false);
+        register(3, 0, inner.clone());
+        assert!(probe_until(1).is_none());
+        unregister(3);
+        // …and re-registering the same id replaces the waiter in place.
+        let det2 = TestWaiter::new(true);
+        register(2, 3, det2.clone());
+        assert_eq!(probe_until(2), Some("ok"));
+        assert_eq!((det.yields(), det2.yields()), (3, 1));
+
+        unregister(2);
+        assert!(probe_until(1).is_none());
+        unregister(1);
+        assert_eq!(current_runtime_id(), None);
+    }
+
+    #[test]
     fn waiter_stack_innermost_wins() {
-        assert!(current_waiter().is_none());
+        assert_eq!(current_runtime_id(), None);
         assert!(!schedule_controlled());
         yield_to_scheduler(); // no waiter: plain OS yield, must not panic
 
         let a = TestWaiter::new(false);
-        install_waiter(1, a.clone());
+        register(1, 0, a.clone());
         let b = TestWaiter::new(true);
-        install_waiter(2, b.clone());
+        register(2, 0, b.clone());
 
         assert!(schedule_controlled(), "innermost waiter is controlled");
         yield_to_scheduler();
-        assert_eq!(b.yields.load(Ordering::Relaxed), 1);
-        assert_eq!(a.yields.load(Ordering::Relaxed), 0);
+        assert_eq!(b.yields(), 1);
+        assert_eq!(a.yields(), 0);
 
         with_sync_counters(|c| Counters::bump(&c.lock_spins, 5));
         assert_eq!(b.counters.snapshot().lock_spins, 5);
         assert_eq!(a.counters.snapshot().lock_spins, 0);
 
-        uninstall_waiter(2);
+        unregister(2);
         assert!(!schedule_controlled());
         yield_to_scheduler();
-        assert_eq!(a.yields.load(Ordering::Relaxed), 1);
-        uninstall_waiter(1);
-        assert!(current_waiter().is_none());
+        assert_eq!(a.yields(), 1);
+        unregister(1);
+        assert_eq!(current_runtime_id(), None);
     }
 
     #[test]
-    fn current_runtime_id_tracks_innermost_waiter() {
+    fn runtime_id_is_innermost_and_rank_is_by_id() {
         assert_eq!(current_runtime_id(), None);
-        install_waiter(41, TestWaiter::new(false));
+        assert_eq!(rank_in(41), None);
+        register(41, 5, TestWaiter::new(false));
         assert_eq!(current_runtime_id(), Some(41));
-        install_waiter(42, TestWaiter::new(false));
+        register(42, 0, TestWaiter::new(false));
         assert_eq!(current_runtime_id(), Some(42));
-        uninstall_waiter(42);
+        assert_eq!(rank_in(41), Some(5), "outer runtime's rank survives nesting");
+        assert_eq!(rank_in(42), Some(0));
+        unregister(42);
         assert_eq!(current_runtime_id(), Some(41));
-        uninstall_waiter(41);
+        assert_eq!(rank_in(42), None);
+        unregister(41);
         assert_eq!(current_runtime_id(), None);
     }
 
     #[test]
     fn spin_wait_spins_budget_then_yields() {
         let w = TestWaiter::new(false);
-        install_waiter(3, w.clone());
+        register(3, 0, w.clone());
         let mut sw = SpinWait::new(4, false);
         for _ in 0..4 {
             assert!(!sw.wait(), "within budget: spin, not yield");
         }
         assert!(sw.wait(), "budget exhausted: yield");
-        assert_eq!(w.yields.load(Ordering::Relaxed), 1);
+        assert_eq!(w.yields(), 1);
         sw.reset();
         assert!(!sw.wait(), "reset restores the spin budget");
-        uninstall_waiter(3);
+        unregister(3);
     }
 
     #[test]
     fn spin_wait_skips_spinning_when_controlled() {
         let w = TestWaiter::new(true);
-        install_waiter(4, w.clone());
+        register(4, 0, w.clone());
         let mut sw = SpinWait::new(1000, false);
         assert!(sw.wait(), "controlled threads must not burn the token on spins");
-        assert_eq!(w.yields.load(Ordering::Relaxed), 1);
-        uninstall_waiter(4);
+        assert_eq!(w.yields(), 1);
+        unregister(4);
     }
 }

@@ -7,123 +7,192 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic event counters for one runtime instance.
-///
-/// All counters use relaxed atomics: they are statistics, not
-/// synchronization. Reads may race with writes; totals are exact once the
-/// runtime has quiesced (e.g. after a join or shutdown).
-#[derive(Debug, Default)]
-pub struct Counters {
+/// Declares every counter exactly once. Generates [`Counters`] (the atomic
+/// block), [`CounterSnapshot`] (its plain-integer copy, same field names and
+/// docs) and everything that has to visit all of them: `snapshot`, `reset`,
+/// `delta_since`, `accumulate` and the by-name [`CounterSnapshot::iter`].
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)+) => {
+        /// Monotonic event counters for one runtime instance.
+        ///
+        /// All counters use relaxed atomics: they are statistics, not
+        /// synchronization. Reads may race with writes; totals are exact once the
+        /// runtime has quiesced (e.g. after a join or shutdown).
+        #[derive(Debug, Default)]
+        pub struct Counters {
+            $($(#[$doc])* pub $name: AtomicU64,)+
+        }
+
+        /// Plain-integer snapshot of [`Counters`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct CounterSnapshot {
+            $($(#[$doc])* pub $name: u64,)+
+        }
+
+        impl Counters {
+            /// Reset every counter to zero (between experiment repetitions).
+            pub fn reset(&self) {
+                $(self.$name.store(0, Ordering::Relaxed);)+
+            }
+
+            /// Snapshot of all counters as plain integers.
+            #[must_use]
+            pub fn snapshot(&self) -> CounterSnapshot {
+                CounterSnapshot { $($name: self.$name.load(Ordering::Relaxed),)+ }
+            }
+        }
+
+        impl CounterSnapshot {
+            /// Every counter as `(field name, value)`, in declaration
+            /// order: the one export format exporters, signatures and
+            /// law checks select from by name or prefix.
+            pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($name), self.$name),)+].into_iter()
+            }
+
+            /// A snapshot holding `f(1), f(2), …` in declaration order.
+            #[cfg(test)]
+            fn numbered(mut f: impl FnMut(u64) -> u64) -> Self {
+                let mut i = 0;
+                CounterSnapshot {
+                    $($name: {
+                        i += 1;
+                        f(i)
+                    },)+
+                }
+            }
+
+            /// Field-wise difference `self − earlier` (saturating), for scoping a
+            /// shared counter block to one interval: the `omp-service` ledger
+            /// brackets each tenant job with two snapshots of its lane's block and
+            /// charges the tenant with the delta. Counters are monotonic, so on
+            /// quiesced brackets the subtraction is exact.
+            #[must_use]
+            pub fn delta_since(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
+                CounterSnapshot { $($name: self.$name.saturating_sub(earlier.$name),)+ }
+            }
+
+            /// Field-wise sum `self + other` (saturating), for aggregating one
+            /// tenant's per-job deltas into a running total.
+            #[must_use]
+            pub fn accumulate(&self, other: &CounterSnapshot) -> CounterSnapshot {
+                CounterSnapshot { $($name: self.$name.saturating_add(other.$name),)+ }
+            }
+        }
+    };
+}
+
+counters! {
     /// OS threads created (workers, team members, nested teams…).
-    pub os_threads_created: AtomicU64,
+    os_threads_created,
     /// OS threads reused from a pool instead of created (Intel hot teams).
-    pub os_threads_reused: AtomicU64,
+    os_threads_reused,
     /// ULTs created.
-    pub ults_created: AtomicU64,
+    ults_created,
     /// ULTs reused instead of created: a parked hot-team member re-armed
     /// with new region work (`GLTO_HOT_ULTS=1`), reported like Intel's
     /// created/reused thread split in Table II.
-    pub ults_reused: AtomicU64,
+    ults_reused,
     /// Tasklets created.
-    pub tasklets_created: AtomicU64,
+    tasklets_created,
     /// Work units executed to completion.
-    pub units_executed: AtomicU64,
+    units_executed,
     /// Successful steals (unit taken from another worker's pool).
-    pub steals: AtomicU64,
+    steals,
     /// Successful steals whose victim pool was in the thief's own topology
     /// domain (socket). Every steal is classified: `steals_same_domain +
     /// steals_cross_domain == steals`. Under the default flat (one-domain)
     /// topology all steals are same-domain.
-    pub steals_same_domain: AtomicU64,
+    steals_same_domain,
     /// Successful steals that crossed a domain (socket) boundary. Zero
     /// whenever cross-domain stealing is disabled
     /// (`proc_bind(master|close|spread)`) or only one domain exists.
-    pub steals_cross_domain: AtomicU64,
+    steals_cross_domain,
     /// Units that moved across a domain boundary: cross-domain steals plus
     /// cross-domain service-unit forwards, so `steals_cross_domain ≤
     /// domain_migrations`.
-    pub domain_migrations: AtomicU64,
+    domain_migrations,
     /// Failed steal attempts (victim empty).
-    pub steal_fails: AtomicU64,
+    steal_fails,
     /// Units pushed to a worker other than the creator.
-    pub remote_pushes: AtomicU64,
+    remote_pushes,
     /// Times an idle worker parked its OS thread.
-    pub parks: AtomicU64,
+    parks,
     /// Full/empty-bit operations performed (Qthreads-like backend).
-    pub feb_ops: AtomicU64,
+    feb_ops,
     /// Explicit tasks created (`#pragma omp task` instances reaching the
     /// runtime). Every created task is either deferred (`tasks_queued`) or
     /// executed undeferred (`tasks_direct`) — the conservation law the
     /// conformance invariant checker asserts.
-    pub tasks_created: AtomicU64,
+    tasks_created,
     /// Tasks enqueued through the runtime's deferred path (Table III).
-    pub tasks_queued: AtomicU64,
+    tasks_queued,
     /// Tasks executed directly/undeferred (cut-off or `final`/`if(0)` path).
-    pub tasks_direct: AtomicU64,
+    tasks_direct,
     /// Task frames allocated fresh by the slab (free list was empty).
-    pub task_slab_fresh: AtomicU64,
+    task_slab_fresh,
     /// Task frames recycled from the slab free list (steady-state path:
     /// no allocation per task).
-    pub task_slab_reused: AtomicU64,
+    task_slab_reused,
     /// GLT unit frames (`UnitState`) allocated fresh by the unit slab.
-    pub unit_slab_fresh: AtomicU64,
+    unit_slab_fresh,
     /// GLT unit frames recycled from the unit slab free list (steady-state
     /// fork path: no allocation per spawned ULT/tasklet).
-    pub unit_slab_reused: AtomicU64,
+    unit_slab_reused,
     /// Deferred tasks carrying at least one `depend` clause (routed through
     /// the dependency resolver before dispatch).
-    pub dep_tasks: AtomicU64,
+    dep_tasks,
     /// Nanoseconds the master spent in the work-assignment step of region
     /// forks (handing the body to team members), accumulated across
     /// regions — the quantity Fig. 7 of the paper plots.
-    pub assign_ns: AtomicU64,
+    assign_ns,
     /// Number of region forks contributing to `assign_ns`.
-    pub forks: AtomicU64,
+    forks,
     /// Failed lock-acquisition probes (`omp` lock/critical slow path).
     /// Every probe that does not take the lock counts one spin.
-    pub lock_spins: AtomicU64,
+    lock_spins,
     /// Times a lock waiter yielded to its scheduler instead of burning its
     /// worker (the spin-then-yield discipline, ROADMAP item 4). Each yield
     /// is preceded by at least one counted failed probe.
-    pub lock_yields: AtomicU64,
+    lock_yields,
     /// MCS direct handoffs: the releaser granted the lock to the queued
     /// head waiter instead of unlocking into a free-for-all.
-    pub lock_handoffs: AtomicU64,
+    lock_handoffs,
     /// FEB stripe operations that took their stripe mutex on the first
     /// attempt (no cross-stripe contention): with striped hot words this
     /// should be the overwhelming majority of `feb_ops`.
-    pub feb_stripe_hits: AtomicU64,
+    feb_stripe_hits,
     /// Adaptive-runtime exploration forks: region forks the `omp-adaptive`
     /// dispatcher ran while still sampling both mechanisms for a callsite
     /// (the explore phase of its explore/exploit rule).
-    pub adaptive_probes: AtomicU64,
+    adaptive_probes,
     /// Adaptive-runtime commits to the OS-thread (pomp hot-team) mechanism:
     /// one per callsite commit event, including re-commits after a re-probe.
-    pub adaptive_commits_os: AtomicU64,
+    adaptive_commits_os,
     /// Adaptive-runtime commits to the ULT (GLTO) mechanism, counted like
     /// `adaptive_commits_os`.
-    pub adaptive_commits_ult: AtomicU64,
+    adaptive_commits_ult,
     /// Adaptive-runtime re-probe events: a committed callsite whose fork
     /// count crossed the re-probe period and re-entered the explore phase.
-    pub adaptive_reprobes: AtomicU64,
+    adaptive_reprobes,
     /// Service-layer jobs dispatched onto a substrate lane (`omp-service`
     /// admission controller). Charged on the substrate's service counter
     /// block, not on any tenant's.
-    pub jobs_admitted: AtomicU64,
+    jobs_admitted,
     /// Service-layer jobs accepted into the FIFO submission queue. Every
     /// queued job is eventually admitted, so once the substrate drains,
     /// `jobs_queued ≤ jobs_admitted + jobs_rejected`.
-    pub jobs_queued: AtomicU64,
+    jobs_queued,
     /// Service-layer jobs refused at submission (queue at capacity). A
     /// rejected job is never queued and never admitted.
-    pub jobs_rejected: AtomicU64,
+    jobs_rejected,
     /// Cross-domain steals observed inside a tenant's counter delta — work
     /// that escaped the topology domain the substrate leased to the tenant.
     /// Charged onto the tenant lane's block by the post-job audit, so
     /// `tenant_steals_leaked ≤ steals_cross_domain` on any block. Zero for
     /// domain-isolated leases (single-domain lane topology) and whenever a
     /// bound lane's cross-domain gate holds.
-    pub tenant_steals_leaked: AtomicU64,
+    tenant_steals_leaked,
 }
 
 impl Counters {
@@ -138,139 +207,6 @@ impl Counters {
     pub fn bump(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
-
-    /// Reset every counter to zero (between experiment repetitions).
-    pub fn reset(&self) {
-        for c in self.all() {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Snapshot of all counters as plain integers.
-    #[must_use]
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            os_threads_created: self.os_threads_created.load(Ordering::Relaxed),
-            os_threads_reused: self.os_threads_reused.load(Ordering::Relaxed),
-            ults_created: self.ults_created.load(Ordering::Relaxed),
-            ults_reused: self.ults_reused.load(Ordering::Relaxed),
-            tasklets_created: self.tasklets_created.load(Ordering::Relaxed),
-            units_executed: self.units_executed.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            steals_same_domain: self.steals_same_domain.load(Ordering::Relaxed),
-            steals_cross_domain: self.steals_cross_domain.load(Ordering::Relaxed),
-            domain_migrations: self.domain_migrations.load(Ordering::Relaxed),
-            steal_fails: self.steal_fails.load(Ordering::Relaxed),
-            remote_pushes: self.remote_pushes.load(Ordering::Relaxed),
-            parks: self.parks.load(Ordering::Relaxed),
-            feb_ops: self.feb_ops.load(Ordering::Relaxed),
-            tasks_created: self.tasks_created.load(Ordering::Relaxed),
-            tasks_queued: self.tasks_queued.load(Ordering::Relaxed),
-            tasks_direct: self.tasks_direct.load(Ordering::Relaxed),
-            task_slab_fresh: self.task_slab_fresh.load(Ordering::Relaxed),
-            task_slab_reused: self.task_slab_reused.load(Ordering::Relaxed),
-            unit_slab_fresh: self.unit_slab_fresh.load(Ordering::Relaxed),
-            unit_slab_reused: self.unit_slab_reused.load(Ordering::Relaxed),
-            dep_tasks: self.dep_tasks.load(Ordering::Relaxed),
-            assign_ns: self.assign_ns.load(Ordering::Relaxed),
-            forks: self.forks.load(Ordering::Relaxed),
-            lock_spins: self.lock_spins.load(Ordering::Relaxed),
-            lock_yields: self.lock_yields.load(Ordering::Relaxed),
-            lock_handoffs: self.lock_handoffs.load(Ordering::Relaxed),
-            feb_stripe_hits: self.feb_stripe_hits.load(Ordering::Relaxed),
-            adaptive_probes: self.adaptive_probes.load(Ordering::Relaxed),
-            adaptive_commits_os: self.adaptive_commits_os.load(Ordering::Relaxed),
-            adaptive_commits_ult: self.adaptive_commits_ult.load(Ordering::Relaxed),
-            adaptive_reprobes: self.adaptive_reprobes.load(Ordering::Relaxed),
-            jobs_admitted: self.jobs_admitted.load(Ordering::Relaxed),
-            jobs_queued: self.jobs_queued.load(Ordering::Relaxed),
-            jobs_rejected: self.jobs_rejected.load(Ordering::Relaxed),
-            tenant_steals_leaked: self.tenant_steals_leaked.load(Ordering::Relaxed),
-        }
-    }
-
-    fn all(&self) -> [&AtomicU64; 36] {
-        [
-            &self.os_threads_created,
-            &self.os_threads_reused,
-            &self.ults_created,
-            &self.ults_reused,
-            &self.tasklets_created,
-            &self.units_executed,
-            &self.steals,
-            &self.steals_same_domain,
-            &self.steals_cross_domain,
-            &self.domain_migrations,
-            &self.steal_fails,
-            &self.remote_pushes,
-            &self.parks,
-            &self.feb_ops,
-            &self.tasks_created,
-            &self.tasks_queued,
-            &self.tasks_direct,
-            &self.task_slab_fresh,
-            &self.task_slab_reused,
-            &self.unit_slab_fresh,
-            &self.unit_slab_reused,
-            &self.dep_tasks,
-            &self.assign_ns,
-            &self.forks,
-            &self.lock_spins,
-            &self.lock_yields,
-            &self.lock_handoffs,
-            &self.feb_stripe_hits,
-            &self.adaptive_probes,
-            &self.adaptive_commits_os,
-            &self.adaptive_commits_ult,
-            &self.adaptive_reprobes,
-            &self.jobs_admitted,
-            &self.jobs_queued,
-            &self.jobs_rejected,
-            &self.tenant_steals_leaked,
-        ]
-    }
-}
-
-/// Plain-integer snapshot of [`Counters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)] // field names mirror `Counters` one-to-one
-pub struct CounterSnapshot {
-    pub os_threads_created: u64,
-    pub os_threads_reused: u64,
-    pub ults_created: u64,
-    pub ults_reused: u64,
-    pub tasklets_created: u64,
-    pub units_executed: u64,
-    pub steals: u64,
-    pub steals_same_domain: u64,
-    pub steals_cross_domain: u64,
-    pub domain_migrations: u64,
-    pub steal_fails: u64,
-    pub remote_pushes: u64,
-    pub parks: u64,
-    pub feb_ops: u64,
-    pub tasks_created: u64,
-    pub tasks_queued: u64,
-    pub tasks_direct: u64,
-    pub task_slab_fresh: u64,
-    pub task_slab_reused: u64,
-    pub unit_slab_fresh: u64,
-    pub unit_slab_reused: u64,
-    pub dep_tasks: u64,
-    pub assign_ns: u64,
-    pub forks: u64,
-    pub lock_spins: u64,
-    pub lock_yields: u64,
-    pub lock_handoffs: u64,
-    pub feb_stripe_hits: u64,
-    pub adaptive_probes: u64,
-    pub adaptive_commits_os: u64,
-    pub adaptive_commits_ult: u64,
-    pub adaptive_reprobes: u64,
-    pub jobs_admitted: u64,
-    pub jobs_queued: u64,
-    pub jobs_rejected: u64,
-    pub tenant_steals_leaked: u64,
 }
 
 impl CounterSnapshot {
@@ -313,117 +249,6 @@ impl CounterSnapshot {
             feb_stripe_hits: 0,
             ..*self
         }
-    }
-
-    /// Field-wise difference `self − earlier` (saturating), for scoping a
-    /// shared counter block to one interval: the `omp-service` ledger
-    /// brackets each tenant job with two snapshots of its lane's block and
-    /// charges the tenant with the delta. Counters are monotonic, so on
-    /// quiesced brackets the subtraction is exact.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
-        let mut d = CounterSnapshot::default();
-        for (out, (now, was)) in
-            d.fields_mut().into_iter().zip(self.fields().into_iter().zip(earlier.fields()))
-        {
-            *out = now.saturating_sub(was);
-        }
-        d
-    }
-
-    /// Field-wise sum `self + other` (saturating), for aggregating one
-    /// tenant's per-job deltas into a running total.
-    #[must_use]
-    pub fn accumulate(&self, other: &CounterSnapshot) -> CounterSnapshot {
-        let mut s = CounterSnapshot::default();
-        for (out, (a, b)) in
-            s.fields_mut().into_iter().zip(self.fields().into_iter().zip(other.fields()))
-        {
-            *out = a.saturating_add(b);
-        }
-        s
-    }
-
-    fn fields(&self) -> [u64; 36] {
-        [
-            self.os_threads_created,
-            self.os_threads_reused,
-            self.ults_created,
-            self.ults_reused,
-            self.tasklets_created,
-            self.units_executed,
-            self.steals,
-            self.steals_same_domain,
-            self.steals_cross_domain,
-            self.domain_migrations,
-            self.steal_fails,
-            self.remote_pushes,
-            self.parks,
-            self.feb_ops,
-            self.tasks_created,
-            self.tasks_queued,
-            self.tasks_direct,
-            self.task_slab_fresh,
-            self.task_slab_reused,
-            self.unit_slab_fresh,
-            self.unit_slab_reused,
-            self.dep_tasks,
-            self.assign_ns,
-            self.forks,
-            self.lock_spins,
-            self.lock_yields,
-            self.lock_handoffs,
-            self.feb_stripe_hits,
-            self.adaptive_probes,
-            self.adaptive_commits_os,
-            self.adaptive_commits_ult,
-            self.adaptive_reprobes,
-            self.jobs_admitted,
-            self.jobs_queued,
-            self.jobs_rejected,
-            self.tenant_steals_leaked,
-        ]
-    }
-
-    fn fields_mut(&mut self) -> [&mut u64; 36] {
-        [
-            &mut self.os_threads_created,
-            &mut self.os_threads_reused,
-            &mut self.ults_created,
-            &mut self.ults_reused,
-            &mut self.tasklets_created,
-            &mut self.units_executed,
-            &mut self.steals,
-            &mut self.steals_same_domain,
-            &mut self.steals_cross_domain,
-            &mut self.domain_migrations,
-            &mut self.steal_fails,
-            &mut self.remote_pushes,
-            &mut self.parks,
-            &mut self.feb_ops,
-            &mut self.tasks_created,
-            &mut self.tasks_queued,
-            &mut self.tasks_direct,
-            &mut self.task_slab_fresh,
-            &mut self.task_slab_reused,
-            &mut self.unit_slab_fresh,
-            &mut self.unit_slab_reused,
-            &mut self.dep_tasks,
-            &mut self.assign_ns,
-            &mut self.forks,
-            &mut self.lock_spins,
-            &mut self.lock_yields,
-            &mut self.lock_handoffs,
-            &mut self.feb_stripe_hits,
-            &mut self.adaptive_probes,
-            &mut self.adaptive_commits_os,
-            &mut self.adaptive_commits_ult,
-            &mut self.adaptive_reprobes,
-            &mut self.jobs_admitted,
-            &mut self.jobs_queued,
-            &mut self.jobs_rejected,
-            &mut self.tenant_steals_leaked,
-        ]
     }
 
     /// Check the conservation laws that must hold for *any* runtime once it
@@ -988,30 +813,36 @@ mod tests {
     }
 
     #[test]
-    fn delta_and_accumulate_are_field_wise() {
-        let before = CounterSnapshot {
-            ults_created: 3,
-            steals: 1,
-            jobs_admitted: 2,
-            ..CounterSnapshot::default()
-        };
-        let after = CounterSnapshot {
-            ults_created: 10,
-            steals: 1,
-            jobs_admitted: 5,
-            tenant_steals_leaked: 1,
-            ..CounterSnapshot::default()
-        };
+    fn counter_table_is_complete() {
+        let names: Vec<&str> = CounterSnapshot::default().iter().map(|(n, _)| n).collect();
+        assert_eq!(
+            names.len() * 8,
+            std::mem::size_of::<CounterSnapshot>(),
+            "iter() must visit every snapshot field"
+        );
+        assert_eq!(std::mem::size_of::<Counters>(), std::mem::size_of::<CounterSnapshot>());
+        let unique: std::collections::HashSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "counter names must be unique");
+        // Names pair with their own field, in declaration order.
+        let s = CounterSnapshot::numbered(|i| i);
+        assert_eq!(s.iter().next(), Some(("os_threads_created", s.os_threads_created)));
+        assert_eq!(s.iter().find(|(n, _)| *n == "steals"), Some(("steals", s.steals)));
+        assert_eq!(s.iter().last(), Some(("tenant_steals_leaked", names.len() as u64)));
+    }
+
+    #[test]
+    fn delta_and_accumulate_round_trip_every_field() {
+        let before = CounterSnapshot::numbered(|i| i);
+        let after = CounterSnapshot::numbered(|i| 3 * i + 1);
         let d = after.delta_since(&before);
-        assert_eq!(d.ults_created, 7);
-        assert_eq!(d.steals, 0);
-        assert_eq!(d.jobs_admitted, 3);
-        assert_eq!(d.tenant_steals_leaked, 1);
-        let sum = d.accumulate(&before);
-        assert_eq!(sum.ults_created, 10);
-        assert_eq!(sum.jobs_admitted, 5);
-        // Deltas of a monotonic block never go negative (saturating).
-        assert_eq!(before.delta_since(&after).ults_created, 0);
+        for (((name, delta), (_, now)), (_, was)) in d.iter().zip(after.iter()).zip(before.iter()) {
+            assert_eq!(delta, now - was, "{name}");
+        }
+        assert_eq!(d.accumulate(&before), after);
+        // Deltas of a monotonic block never go negative, sums never wrap.
+        assert_eq!(before.delta_since(&after), CounterSnapshot::default());
+        let max = CounterSnapshot::numbered(|_| u64::MAX);
+        assert_eq!(max.accumulate(&after), max);
     }
 
     #[test]

@@ -360,11 +360,11 @@ mod tests {
     #[test]
     fn feb_ops_mirror_into_installed_runtime_counters() {
         let c = std::sync::Arc::new(MirrorWaiter(crate::counters::Counters::new()));
-        crate::coop::install_waiter(u64::MAX - 1, c.clone());
+        crate::coop::register(u64::MAX - 1, 0, c.clone());
         let t = FebTable::new();
         t.fill(9, 9);
         let _ = t.read_fe(9);
-        crate::coop::uninstall_waiter(u64::MAX - 1);
+        crate::coop::unregister(u64::MAX - 1);
         let s = c.0.snapshot();
         assert_eq!(s.feb_ops, 2);
         assert_eq!(s.feb_stripe_hits, 2, "uncontended: both ops hit their stripe");

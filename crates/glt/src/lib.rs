@@ -141,13 +141,6 @@ impl<S: Scheduler> Scheduler for Pooled<S> {
         }
     }
 
-    fn on_worker_start(&self, rank: usize) {
-        match self {
-            Pooled::Backend(s) => s.on_worker_start(rank),
-            Pooled::Shared(s) => s.on_worker_start(rank),
-        }
-    }
-
     fn on_shutdown(&self) {
         match self {
             Pooled::Backend(s) => s.on_shutdown(),

@@ -17,7 +17,6 @@
 //! worker count → no oversubscription, backend-specific migration), at the
 //! cost that a unit never migrates after it first runs; see DESIGN.md §2.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -33,26 +32,6 @@ use crate::topology::Topology;
 use crate::unit::{UltHandle, Unit, UnitClass, UnitKind, UnitSlab, UnitState, WorkFn};
 
 static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// (runtime id, rank) registrations for the current thread. A thread is
-    /// usually registered with at most one or two runtimes (benchmarks that
-    /// sweep configurations create runtimes sequentially), so a small vec
-    /// with linear scan beats a hash map.
-    static RANKS: RefCell<Vec<(u64, usize)>> = const { RefCell::new(Vec::new()) };
-}
-
-fn register_rank(id: u64, rank: usize) {
-    RANKS.with(|r| r.borrow_mut().push((id, rank)));
-}
-
-fn unregister_rank(id: u64) {
-    RANKS.with(|r| r.borrow_mut().retain(|&(i, _)| i != id));
-}
-
-fn lookup_rank(id: u64) -> Option<usize> {
-    RANKS.with(|r| r.borrow().iter().rev().find(|&&(i, _)| i == id).map(|&(_, rk)| rk))
-}
 
 /// Object-safe view of a GLT runtime, independent of backend type.
 ///
@@ -70,13 +49,6 @@ pub trait GltRuntime: Send + Sync {
     fn ult_create(&self, work: WorkFn) -> UltHandle;
     /// Create a ULT destined for worker `target`'s pool.
     fn ult_create_to(&self, target: usize, work: WorkFn) -> UltHandle;
-    /// Create a *region-member* ULT ([`UnitClass::Region`]) in the caller's
-    /// own pool, tagged with its team's generation. Region units may block
-    /// on team barriers, so blocked waits only execute them under the
-    /// predicate of [`GltRuntime::help_once_filtered`].
-    fn region_ult_create(&self, tag: u64, work: WorkFn) -> UltHandle;
-    /// Create a region-member ULT destined for worker `target`'s pool.
-    fn region_ult_create_to(&self, target: usize, tag: u64, work: WorkFn) -> UltHandle;
     /// Create a tasklet (stackless unit) with default placement.
     fn tasklet_create(&self, work: WorkFn) -> UltHandle;
     /// Create a tasklet destined for worker `target`'s pool.
@@ -87,34 +59,19 @@ pub trait GltRuntime: Send + Sync {
     /// frames skip them.
     fn service_ult_create_to(&self, target: usize, work: WorkFn) -> UltHandle;
     /// Create a whole fork's worth of ULTs in one scheduler call
-    /// (`None` target = backend-default placement). The default
-    /// implementation is the unamortized per-unit loop; [`Runtime`]
-    /// overrides it with a single [`Scheduler::push_batch`].
-    fn ult_create_batch(&self, specs: Vec<(Option<usize>, WorkFn)>) -> Vec<UltHandle> {
-        specs
-            .into_iter()
-            .map(|(t, w)| match t {
-                Some(t) => self.ult_create_to(t, w),
-                None => self.ult_create(w),
-            })
-            .collect()
-    }
-    /// Batched [`GltRuntime::region_ult_create_to`]: all of a region fork's
-    /// member units submitted in one scheduler call. See
-    /// [`GltRuntime::ult_create_batch`].
+    /// (`None` target = own pool, `Some(t)` = worker `t`'s pool): a single
+    /// [`Scheduler::push_batch`] instead of one push per unit.
+    fn ult_create_batch(&self, specs: Vec<(Option<usize>, WorkFn)>) -> Vec<UltHandle>;
+    /// As [`GltRuntime::ult_create_batch`], for the *region-member* ULTs
+    /// ([`UnitClass::Region`]) of one region fork, tagged with their team's
+    /// generation. Region units may block on team barriers, so blocked
+    /// waits only execute them under the predicate of
+    /// [`GltRuntime::help_once_filtered`].
     fn region_ult_create_batch(
         &self,
         tag: u64,
         specs: Vec<(Option<usize>, WorkFn)>,
-    ) -> Vec<UltHandle> {
-        specs
-            .into_iter()
-            .map(|(t, w)| match t {
-                Some(t) => self.region_ult_create_to(t, tag, w),
-                None => self.region_ult_create(tag, w),
-            })
-            .collect()
-    }
+    ) -> Vec<UltHandle>;
     /// Offer a joined handle's frame back to the unit slab for reuse.
     /// No-op unless the unit is done; callers that wait on handles outside
     /// [`GltRuntime::join`] (GLTO's region master) call this to keep the
@@ -264,7 +221,12 @@ impl<S: Scheduler> Shared<S> {
 /// for the threads it registers (rank 0 at start, workers at loop entry):
 /// blocking primitives in the OpenMP layers reach the backend's
 /// [`Scheduler::waiter_yield`] through this hook without knowing the
-/// concrete runtime type.
+/// concrete runtime type. One allocation per thread, cache-line aligned:
+/// every yield and counter charge clones this `Arc`, and its reference
+/// count must not share a line with anything another thread touches (a
+/// QTH master bumps it twice per FEB operation — next to `Shared`'s stop
+/// flag that cost `service_mix` 10–15 %).
+#[repr(align(64))]
 struct WaiterHook<S: Scheduler> {
     shared: Arc<Shared<S>>,
     rank: usize,
@@ -331,12 +293,7 @@ impl<S: Scheduler> Runtime<S> {
             wake_rr: AtomicUsize::new(0),
             tasklets_native,
         });
-        register_rank(id, 0);
-        crate::coop::install_waiter(
-            id,
-            Arc::new(WaiterHook { shared: Arc::clone(&shared), rank: 0 }),
-        );
-        shared.sched.on_worker_start(0);
+        crate::coop::register(id, 0, Arc::new(WaiterHook { shared: Arc::clone(&shared), rank: 0 }));
         let mut handles = Vec::with_capacity(n.saturating_sub(1));
         for rank in 1..n {
             let sh = Arc::clone(&shared);
@@ -479,12 +436,11 @@ impl<S: Scheduler> Runtime<S> {
 }
 
 fn worker_loop<S: Scheduler>(shared: &Arc<Shared<S>>, rank: usize) {
-    register_rank(shared.id, rank);
-    crate::coop::install_waiter(
+    crate::coop::register(
         shared.id,
+        rank,
         Arc::new(WaiterHook { shared: Arc::clone(shared), rank }),
     );
-    shared.sched.on_worker_start(rank);
     let mut idle = IdleWait::new(
         shared.cfg.wait_policy,
         shared.cfg.spin_before_park,
@@ -508,8 +464,7 @@ fn worker_loop<S: Scheduler>(shared: &Arc<Shared<S>>, rank: usize) {
     while let Some(u) = shared.take_work(rank, true) {
         shared.run_unit(rank, &u);
     }
-    crate::coop::uninstall_waiter(shared.id);
-    unregister_rank(shared.id);
+    crate::coop::unregister(shared.id);
 }
 
 impl<S: Scheduler> GltRuntime for Runtime<S> {
@@ -522,7 +477,7 @@ impl<S: Scheduler> GltRuntime for Runtime<S> {
     }
 
     fn self_rank(&self) -> Option<usize> {
-        lookup_rank(self.shared.id)
+        crate::coop::rank_in(self.shared.id)
     }
 
     fn ult_create(&self, work: WorkFn) -> UltHandle {
@@ -531,14 +486,6 @@ impl<S: Scheduler> GltRuntime for Runtime<S> {
 
     fn ult_create_to(&self, target: usize, work: WorkFn) -> UltHandle {
         self.create(UnitKind::Ult, Placement::To(target), work)
-    }
-
-    fn region_ult_create(&self, tag: u64, work: WorkFn) -> UltHandle {
-        self.create_class(UnitKind::Ult, UnitClass::Region, tag, Placement::Local, work)
-    }
-
-    fn region_ult_create_to(&self, target: usize, tag: u64, work: WorkFn) -> UltHandle {
-        self.create_class(UnitKind::Ult, UnitClass::Region, tag, Placement::To(target), work)
     }
 
     fn tasklet_create(&self, work: WorkFn) -> UltHandle {
@@ -744,8 +691,7 @@ impl<S: Scheduler> Drop for Runtime<S> {
         for h in self.workers.lock().drain(..) {
             let _ = h.join();
         }
-        crate::coop::uninstall_waiter(self.shared.id);
-        unregister_rank(self.shared.id);
+        crate::coop::unregister(self.shared.id);
     }
 }
 
@@ -928,6 +874,17 @@ mod tests {
         let s = r.counters().snapshot();
         assert_eq!(s.ults_created, 16);
         assert_eq!(s.unit_slab_fresh + s.unit_slab_reused, 16);
+
+        // A region fork's members ride the same path, classed and tagged.
+        let members = r.region_ult_create_batch(
+            7,
+            vec![(Some(1), Box::new(|| {}) as WorkFn), (None, Box::new(|| {}) as WorkFn)],
+        );
+        for h in &members {
+            assert_eq!((h.state().class(), h.state().tag()), (UnitClass::Region, 7));
+            r.join(h);
+        }
+        assert_eq!(r.counters().snapshot().ults_created, 18);
     }
 
     #[test]
@@ -967,13 +924,13 @@ mod tests {
     #[test]
     fn runtime_installs_sync_waiter_on_registered_threads() {
         let r = rt(2);
-        let w = crate::coop::current_waiter().expect("rank 0 must have a waiter installed");
-        assert!(!w.schedule_controlled(), "shared-queue scheduler is not token-controlled");
+        assert!(crate::coop::current_runtime_id().is_some(), "rank 0 must be registered");
+        assert!(!crate::coop::schedule_controlled(), "shared-queue scheduler is not controlled");
         crate::coop::yield_to_scheduler(); // routes to the backend hook; must return
         crate::coop::with_sync_counters(|c| Counters::bump(&c.lock_spins, 3));
         assert_eq!(r.counters().snapshot().lock_spins, 3, "waiter charges this runtime");
         drop(r);
-        assert!(crate::coop::current_waiter().is_none(), "drop must uninstall the waiter");
+        assert!(crate::coop::current_runtime_id().is_none(), "drop must unregister the thread");
     }
 
     #[test]

@@ -79,9 +79,6 @@ pub trait Scheduler: Send + Sync + 'static {
     /// Approximate total queued units (used by tests and load reporting).
     fn queued_len(&self) -> usize;
 
-    /// Hook invoked once per worker before its main loop (optional).
-    fn on_worker_start(&self, _rank: usize) {}
-
     /// Hook invoked once, on the thread dropping the runtime, before the
     /// stop flag is raised and workers are joined (optional). Cooperative
     /// schedulers (e.g. the deterministic stepper backend) use this to

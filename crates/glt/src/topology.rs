@@ -98,14 +98,13 @@ impl Topology {
     /// a run that never asked for topology awareness).
     #[must_use]
     pub fn from_env() -> Option<Self> {
-        let spec = std::env::var("GLT_TOPOLOGY").ok()?;
-        match Self::parse(&spec) {
-            Ok(t) => Some(t),
-            Err(e) => {
-                eprintln!("glt: ignoring GLT_TOPOLOGY: {e}");
-                None
-            }
+        let lookup = |name: &str| std::env::var(name).ok();
+        let mut vars = crate::config::Vars { lookup: &lookup, warnings: Vec::new() };
+        let topo = vars.parsed("GLT_TOPOLOGY", Self::parse);
+        for w in vars.warnings {
+            eprintln!("glt: {w}");
         }
+        topo
     }
 
     /// Best-effort host detection: one socket of `available_parallelism`

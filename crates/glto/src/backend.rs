@@ -165,16 +165,6 @@ impl GltRuntime for AnyGlt {
     }
 
     #[inline]
-    fn region_ult_create(&self, tag: u64, work: WorkFn) -> UltHandle {
-        dispatch!(self, rt => rt.region_ult_create(tag, work))
-    }
-
-    #[inline]
-    fn region_ult_create_to(&self, target: usize, tag: u64, work: WorkFn) -> UltHandle {
-        dispatch!(self, rt => rt.region_ult_create_to(target, tag, work))
-    }
-
-    #[inline]
     fn service_ult_create_to(&self, target: usize, work: WorkFn) -> UltHandle {
         dispatch!(self, rt => rt.service_ult_create_to(target, work))
     }

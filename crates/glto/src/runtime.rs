@@ -27,6 +27,11 @@ pub struct GltoRuntime {
     hot: HotPool,
     /// Cross-mechanism nested-region handoff (see [`NestedHandoff`]).
     nested_handoff: OnceLock<NestedHandoff>,
+    /// `GLT_TRACE` was set at construction: barrier arrivals log to stderr.
+    pub(crate) trace: bool,
+    /// `GLTO_DEBUG_STALL` was set at construction: a barrier wait longer
+    /// than 5 s reports its team/rank/level once.
+    pub(crate) debug_stall: bool,
 }
 
 impl GltoRuntime {
@@ -100,6 +105,8 @@ impl GltoRuntime {
             key: NEXT_RUNTIME_KEY.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             hot: HotPool::new(),
             nested_handoff: OnceLock::new(),
+            trace: std::env::var("GLT_TRACE").is_ok(),
+            debug_stall: std::env::var("GLTO_DEBUG_STALL").is_ok(),
         })
     }
 

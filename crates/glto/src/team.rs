@@ -417,8 +417,7 @@ impl TeamOps for GltoTeam<'_> {
     }
 
     fn barrier(&self, tid: usize) {
-        let trace = std::env::var("GLT_TRACE").is_ok();
-        if trace {
+        if self.rt.trace {
             eprintln!(
                 "[team] barrier-arrive team={} tid={tid} thread={:?}",
                 self.tag,
@@ -433,10 +432,7 @@ impl TeamOps for GltoTeam<'_> {
             || help && self.try_run_task(tid),
             || {
                 sw.wait();
-                if !warned
-                    && t0.elapsed().as_secs() >= 5
-                    && std::env::var("GLTO_DEBUG_STALL").is_ok()
-                {
+                if self.rt.debug_stall && !warned && t0.elapsed().as_secs() >= 5 {
                     warned = true;
                     eprintln!(
                         "[stall] glto barrier team={} tid={tid} rank={:?} level={} thread={:?}",

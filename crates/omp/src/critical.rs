@@ -29,14 +29,13 @@ pub struct CriticalRegistry {
 
 impl Default for CriticalRegistry {
     fn default() -> Self {
-        let (kind, budget) = LockKind::from_env();
-        CriticalRegistry { kind, budget, locks: Mutex::new(HashMap::new()) }
+        Self::from_config(OmpConfig::process_default())
     }
 }
 
 impl CriticalRegistry {
     /// Empty registry (one per runtime instance); lock discipline from the
-    /// environment (`OMP_LOCK_KIND`/`OMP_SPIN_BUDGET`), defaults otherwise.
+    /// process default ([`OmpConfig::process_default`]).
     #[must_use]
     pub fn new() -> Self {
         Self::default()

@@ -7,7 +7,9 @@
 //! module provides the same knobs to every runtime in the reproduction.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
+use glt::config::Vars;
 use glt::{Topology, WaitPolicy};
 
 use crate::lock::LockKind;
@@ -298,90 +300,66 @@ impl OmpConfig {
         OmpConfig { num_threads: n.max(1), ..Self::default() }
     }
 
-    /// Read `OMP_*` (and `GLT_SHARED_QUEUES`) from the process environment.
+    /// Build a configuration from the knobs `lookup` serves — every
+    /// `OMP_*` variable above plus `GLT_TOPOLOGY`, `GLT_SHARED_QUEUES`,
+    /// `GLTO_HOT_ULTS` and `KMP_TASK_CUTOFF`. Returns the configuration and
+    /// one ``ignoring NAME=`value` `` warning per malformed knob (which
+    /// keeps its default); an absent knob keeps its default silently.
     #[must_use]
-    pub fn from_env() -> Self {
-        let mut c = Self::default();
-        if let Ok(v) = std::env::var("OMP_NUM_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                c.num_threads = n.max(1);
-            }
+    pub fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> (Self, Vec<String>) {
+        fn known<T>(v: Option<T>, what: &str) -> Result<T, String> {
+            v.ok_or_else(|| format!("unknown {what}"))
         }
-        if let Ok(v) = std::env::var("OMP_NESTED") {
-            c.nested = matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "yes");
-        }
-        if let Ok(v) = std::env::var("OMP_MAX_ACTIVE_LEVELS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                c.max_active_levels = n;
-            }
-        }
-        if let Ok(v) = std::env::var("OMP_WAIT_POLICY") {
-            c.wait_policy = WaitPolicy::from_env_str(&v);
-        }
-        if let Ok(v) = std::env::var("OMP_PROC_BIND") {
-            match ProcBind::parse(&v) {
-                Some(pb) => c.proc_bind = pb,
-                None => eprintln!("omp: ignoring OMP_PROC_BIND=`{v}`: unknown policy"),
-            }
-        }
-        if let Ok(v) = std::env::var("OMP_PLACES") {
-            match Places::parse(&v) {
-                Ok(p) => c.places = Some(p),
-                Err(e) => eprintln!("omp: ignoring OMP_PLACES: {e}"),
-            }
-        }
-        c.topology = Topology::from_env();
-        if let Ok(v) = std::env::var("OMP_SCHEDULE") {
-            if let Some(s) = Schedule::parse(&v) {
-                c.runtime_schedule = s;
-            }
-        }
-        if let Ok(v) = std::env::var("GLT_SHARED_QUEUES") {
-            c.shared_queues =
-                matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "yes");
-        }
-        c.hot_ults = Self::hot_ults_from_env().unwrap_or(c.hot_ults);
-        if let Ok(v) = std::env::var("KMP_TASK_CUTOFF") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                c.task_cutoff = n.max(1);
-            }
-        }
-        if let Ok(v) = std::env::var("OMP_LOCK_KIND") {
-            if let Some(k) = LockKind::parse(&v) {
-                c.lock_kind = k;
-            }
-        }
-        if let Ok(v) = std::env::var("OMP_SPIN_BUDGET") {
-            if let Ok(n) = v.trim().parse::<u32>() {
-                c.spin_budget = n;
-            }
-        }
-        if let Ok(v) = std::env::var("OMP_ADAPTIVE_PROBE_K") {
-            if let Ok(n) = v.trim().parse::<u32>() {
-                c.adaptive_probe_k = n.max(1);
-            }
-        }
-        if let Ok(v) = std::env::var("OMP_ADAPTIVE_REPROBE") {
-            if let Ok(n) = v.trim().parse::<u32>() {
-                c.adaptive_reprobe = n;
-            }
-        }
-        if let Ok(v) = std::env::var("OMP_ADAPTIVE_TRACE") {
-            c.adaptive_trace =
-                matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "yes");
-        }
-        c
+        let mut vars = Vars { lookup: &lookup, warnings: Vec::new() };
+        let d = Self::default();
+        let cfg = OmpConfig {
+            num_threads: vars.number("OMP_NUM_THREADS").map_or(d.num_threads, |n: usize| n.max(1)),
+            nested: vars.flag("OMP_NESTED").unwrap_or(d.nested),
+            max_active_levels: vars.number("OMP_MAX_ACTIVE_LEVELS").unwrap_or(d.max_active_levels),
+            wait_policy: vars.parsed("OMP_WAIT_POLICY", WaitPolicy::parse).unwrap_or(d.wait_policy),
+            proc_bind: vars
+                .parsed("OMP_PROC_BIND", |s| known(ProcBind::parse(s), "policy"))
+                .unwrap_or(d.proc_bind),
+            places: vars.parsed("OMP_PLACES", Places::parse),
+            topology: vars.parsed("GLT_TOPOLOGY", Topology::parse),
+            runtime_schedule: vars
+                .parsed("OMP_SCHEDULE", |s| known(Schedule::parse(s), "kind"))
+                .unwrap_or(d.runtime_schedule),
+            shared_queues: vars.flag("GLT_SHARED_QUEUES").unwrap_or(d.shared_queues),
+            hot_ults: vars.flag("GLTO_HOT_ULTS").unwrap_or(d.hot_ults),
+            task_cutoff: vars.number("KMP_TASK_CUTOFF").map_or(d.task_cutoff, |n: usize| n.max(1)),
+            lock_kind: vars
+                .parsed("OMP_LOCK_KIND", |s| known(LockKind::parse(s), "kind"))
+                .unwrap_or(d.lock_kind),
+            spin_budget: vars.number("OMP_SPIN_BUDGET").unwrap_or(d.spin_budget),
+            adaptive_probe_k: vars
+                .number("OMP_ADAPTIVE_PROBE_K")
+                .map_or(d.adaptive_probe_k, |k: u32| k.max(1)),
+            adaptive_reprobe: vars.number("OMP_ADAPTIVE_REPROBE").unwrap_or(d.adaptive_reprobe),
+            adaptive_trace: vars.flag("OMP_ADAPTIVE_TRACE").unwrap_or(d.adaptive_trace),
+        };
+        (cfg, vars.warnings)
     }
 
-    /// `GLTO_HOT_ULTS` from the process environment, if set. Exposed
-    /// separately from [`from_env`](Self::from_env) so harnesses that
-    /// build configs programmatically (the bench `repro` binary) can still
-    /// honor the flag.
+    /// [`OmpConfig::from_vars`] over the process environment, printing each
+    /// warning to stderr once.
     #[must_use]
-    pub fn hot_ults_from_env() -> Option<bool> {
-        std::env::var("GLTO_HOT_ULTS")
-            .ok()
-            .map(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "yes"))
+    pub fn from_env() -> Self {
+        let (cfg, warnings) = Self::from_vars(|name| std::env::var(name).ok());
+        for w in warnings {
+            eprintln!("omp: {w}");
+        }
+        cfg
+    }
+
+    /// The process-wide default: the environment parsed once, on first use.
+    /// This is what objects created with no runtime config in reach fall
+    /// back on (`OmpLock::new()`, harness configs honoring `GLTO_HOT_ULTS`),
+    /// so none of them re-reads the environment.
+    #[must_use]
+    pub fn process_default() -> &'static OmpConfig {
+        static DEFAULT: OnceLock<OmpConfig> = OnceLock::new();
+        DEFAULT.get_or_init(Self::from_env)
     }
 
     /// Builder: set nesting.
@@ -645,6 +623,63 @@ mod tests {
         assert_eq!(c.proc_bind, ProcBind::Close);
         assert_eq!(c.places, Some(Places::Cores));
         assert_eq!(c.topology, Some(Topology::parse("2x4x2").unwrap()));
+    }
+
+    #[test]
+    fn from_vars_every_knob_valid_malformed_absent() {
+        fn dbg(v: impl std::fmt::Debug) -> String {
+            format!("{v:?}")
+        }
+        // knob, valid spelling, malformed spelling, the field it lands in,
+        // that field after the valid spelling.
+        type Row = (&'static str, &'static str, &'static str, fn(&OmpConfig) -> String, String);
+        let table: [Row; 16] = [
+            ("OMP_NUM_THREADS", " 0 ", "-3", |c| dbg(c.num_threads), dbg(1)),
+            ("OMP_NESTED", "No", "maybe", |c| dbg(c.nested), dbg(false)),
+            ("OMP_MAX_ACTIVE_LEVELS", "2", "two", |c| dbg(c.max_active_levels), dbg(2)),
+            ("OMP_WAIT_POLICY", "ACTIVE", "busy", |c| dbg(c.wait_policy), dbg(WaitPolicy::Active)),
+            ("OMP_PROC_BIND", "spread", "sideways", |c| dbg(c.proc_bind), dbg(ProcBind::Spread)),
+            ("OMP_PLACES", "cores(2)", "{0,1", |c| dbg(&c.places), dbg(Some(Places::Cores))),
+            (
+                "GLT_TOPOLOGY",
+                "2x4x2",
+                "2xfour",
+                |c| dbg(c.topology),
+                dbg(Topology::parse("2x4x2").ok()),
+            ),
+            (
+                "OMP_SCHEDULE",
+                "dynamic,4",
+                "fair",
+                |c| dbg(c.runtime_schedule),
+                dbg(Schedule::Dynamic { chunk: 4 }),
+            ),
+            ("GLT_SHARED_QUEUES", "1", "shared", |c| dbg(c.shared_queues), dbg(true)),
+            ("GLTO_HOT_ULTS", "true", "hot", |c| dbg(c.hot_ults), dbg(true)),
+            ("KMP_TASK_CUTOFF", "0", "4k", |c| dbg(c.task_cutoff), dbg(1)),
+            ("OMP_LOCK_KIND", "queue", "ticket", |c| dbg(c.lock_kind), dbg(LockKind::Mcs)),
+            ("OMP_SPIN_BUDGET", "0", "lots", |c| dbg(c.spin_budget), dbg(0)),
+            ("OMP_ADAPTIVE_PROBE_K", "0", "k", |c| dbg(c.adaptive_probe_k), dbg(1)),
+            ("OMP_ADAPTIVE_REPROBE", "0", "never", |c| dbg(c.adaptive_reprobe), dbg(0)),
+            ("OMP_ADAPTIVE_TRACE", "yes", "2", |c| dbg(c.adaptive_trace), dbg(true)),
+        ];
+        for (knob, valid, malformed, field, want) in table {
+            let with = |value: Option<&str>| {
+                let (c, w) =
+                    OmpConfig::from_vars(|k| value.filter(|_| k == knob).map(str::to_owned));
+                (field(&c), w)
+            };
+            let default = field(&OmpConfig::default());
+            assert_ne!(want, default, "{knob}: the valid row must move the field");
+            assert_eq!(with(Some(valid)), (want, vec![]), "{knob}={valid}");
+            assert_eq!(with(None), (default.clone(), vec![]), "{knob} absent");
+            let (got, w) = with(Some(malformed));
+            assert_eq!((got, w.len()), (default, 1), "{knob}={malformed} keeps the default: {w:?}");
+            assert!(w[0].starts_with(&format!("ignoring {knob}=`{malformed}`: ")), "{}", w[0]);
+        }
+        // Knobs are independent: three malformed values, three warnings.
+        let (_, w) = OmpConfig::from_vars(|k| k.starts_with("OMP_ADAPTIVE").then(|| "?".into()));
+        assert_eq!(w.len(), 3, "{w:?}");
     }
 
     #[test]

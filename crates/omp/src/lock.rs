@@ -65,22 +65,6 @@ impl LockKind {
             _ => None,
         }
     }
-
-    /// Default kind/budget pair: `OMP_LOCK_KIND` / `OMP_SPIN_BUDGET` from
-    /// the environment, else spin-then-yield with a budget of 100 (the
-    /// [`crate::OmpConfig`] defaults).
-    #[must_use]
-    pub fn from_env() -> (Self, u32) {
-        let kind = std::env::var("OMP_LOCK_KIND")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or(LockKind::SpinYield);
-        let budget = std::env::var("OMP_SPIN_BUDGET")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(100);
-        (kind, budget)
-    }
 }
 
 // ------------------------------------------------- planted lost-wakeup bug
@@ -185,14 +169,15 @@ pub struct OmpLock {
 
 impl Default for OmpLock {
     fn default() -> Self {
-        let (kind, budget) = LockKind::from_env();
-        Self::with_kind(kind, budget)
+        let cfg = crate::OmpConfig::process_default();
+        Self::with_kind(cfg.lock_kind, cfg.spin_budget)
     }
 }
 
 impl OmpLock {
-    /// `omp_init_lock`: kind and spin budget from the environment
-    /// (`OMP_LOCK_KIND`, `OMP_SPIN_BUDGET`), defaults otherwise.
+    /// `omp_init_lock`: kind and spin budget from the process default
+    /// ([`crate::OmpConfig::process_default`]: `OMP_LOCK_KIND` and
+    /// `OMP_SPIN_BUDGET`, parsed once).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -442,7 +427,7 @@ pub struct OmpNestLock {
 }
 
 impl OmpNestLock {
-    /// `omp_init_nest_lock` (kind/budget from the environment, like
+    /// `omp_init_nest_lock` (kind/budget from the process default, like
     /// [`OmpLock::new`]).
     #[must_use]
     pub fn new() -> Self {
@@ -678,21 +663,21 @@ mod tests {
         // tokens from distinct namespaces never collide.
         let w: Arc<dyn coop::SyncWaiter> = Arc::new(TestWaiter { counters: Counters::new() });
         let fallback = thread_token();
-        coop::install_waiter(9100, Arc::clone(&w));
+        coop::register(9100, 0, Arc::clone(&w));
         let under_a = thread_token();
-        coop::uninstall_waiter(9100);
-        coop::install_waiter(9101, Arc::clone(&w));
+        coop::unregister(9100);
+        coop::register(9101, 0, Arc::clone(&w));
         let under_b = thread_token();
-        coop::uninstall_waiter(9101);
+        coop::unregister(9101);
         assert_ne!(fallback, 0, "tokens are nonzero (0 means unowned)");
         assert_ne!(under_a, 0);
         assert_ne!(under_b, 0);
         assert_ne!(under_a, fallback, "runtime namespace differs from fallback");
         assert_ne!(under_a, under_b, "distinct runtimes get distinct namespaces");
         assert_eq!(fallback, thread_token(), "fallback token is stable");
-        coop::install_waiter(9100, Arc::clone(&w));
+        coop::register(9100, 0, Arc::clone(&w));
         assert_eq!(under_a, thread_token(), "per-runtime token is stable");
-        coop::uninstall_waiter(9100);
+        coop::unregister(9100);
     }
 
     #[cfg(feature = "planted-lost-wakeup")]
@@ -704,19 +689,19 @@ mod tests {
         // fires on the next contended release.
         let w1: Arc<dyn coop::SyncWaiter> = Arc::new(TestWaiter { counters: Counters::new() });
         let w2: Arc<dyn coop::SyncWaiter> = Arc::new(TestWaiter { counters: Counters::new() });
-        coop::install_waiter(9201, Arc::clone(&w1));
+        coop::register(9201, 0, Arc::clone(&w1));
         plant_drop_one();
-        coop::uninstall_waiter(9201);
+        coop::unregister(9201);
 
-        coop::install_waiter(9202, Arc::clone(&w2));
+        coop::register(9202, 0, Arc::clone(&w2));
         let l = Arc::new(OmpLock::with_kind(LockKind::Mcs, 4));
         l.set();
         let l2 = l.clone();
         let w2b = Arc::clone(&w2);
         let t = std::thread::spawn(move || {
-            coop::install_waiter(9202, w2b);
+            coop::register(9202, 0, w2b);
             l2.with(|| {});
-            coop::uninstall_waiter(9202);
+            coop::unregister(9202);
         });
         while l.mcs.lock().queue.is_empty() {
             std::thread::yield_now();
@@ -724,17 +709,17 @@ mod tests {
         l.unset();
         t.join().unwrap();
         assert_eq!(planted_repairs(), 0, "runtime 9202 must not see 9201's arming");
-        coop::uninstall_waiter(9202);
+        coop::unregister(9202);
 
-        coop::install_waiter(9201, Arc::clone(&w1));
+        coop::register(9201, 0, Arc::clone(&w1));
         let l = Arc::new(OmpLock::with_kind(LockKind::Mcs, 4));
         l.set();
         let l2 = l.clone();
         let w1b = Arc::clone(&w1);
         let t = std::thread::spawn(move || {
-            coop::install_waiter(9201, w1b);
+            coop::register(9201, 0, w1b);
             l2.with(|| {});
-            coop::uninstall_waiter(9201);
+            coop::unregister(9201);
         });
         while l.mcs.lock().queue.is_empty() {
             std::thread::yield_now();
@@ -742,7 +727,7 @@ mod tests {
         l.unset();
         t.join().unwrap();
         assert_eq!(planted_repairs(), 1, "arming fires in the runtime that armed it");
-        coop::uninstall_waiter(9201);
+        coop::unregister(9201);
     }
 
     #[test]
@@ -754,9 +739,9 @@ mod tests {
             let l2 = l.clone();
             let w2 = Arc::clone(&w);
             let t = std::thread::spawn(move || {
-                coop::install_waiter(9000, w2);
+                coop::register(9000, 0, w2);
                 l2.with(|| {});
-                coop::uninstall_waiter(9000);
+                coop::unregister(9000);
             });
             // Give the waiter time to enter the slow path, then release.
             std::thread::sleep(std::time::Duration::from_millis(20));

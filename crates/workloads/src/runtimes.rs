@@ -1,8 +1,10 @@
 //! Runtime registry: the paper's Fig. 2 "software stack choices".
 //!
-//! One program, five runtimes: GNU-like, Intel-like, and GLTO over each of
-//! the three LWT backends. Everything in the evaluation iterates over
-//! [`RuntimeKind::all`] and builds the runtime under test here.
+//! One program, eight runtimes: the paper's five (GNU-like, Intel-like,
+//! and GLTO over each of the three LWT backends), which everything in the
+//! evaluation iterates over as [`RuntimeKind::all`], plus the serialized
+//! baseline, the deterministic GLTO backend and the adaptive composition
+//! that complete [`RuntimeKind::matrix`]. All are built here.
 
 use std::sync::Arc;
 
