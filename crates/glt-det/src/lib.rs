@@ -53,44 +53,6 @@ use std::time::Duration;
 use glt::{GltConfig, Placement, Runtime, Scheduler, Stolen, Topology, Unit, WaitPolicy};
 use parking_lot::{Condvar, Mutex};
 
-/// Arms the planted cross-domain starvation bug (see
-/// [`plant_cross_starvation`]).
-#[cfg(feature = "planted-cross-starvation")]
-static PLANT_CROSS_STARVATION: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
-
-/// Times the planted bug's liveness backstop had to fire (see
-/// [`planted_rescues`]).
-#[cfg(feature = "planted-cross-starvation")]
-static PLANTED_RESCUES: AtomicU64 = AtomicU64::new(0);
-
-/// Arm the **planted cross-domain starvation bug** (test-only; feature
-/// `planted-cross-starvation`): while armed, [`DetScheduler::steal`]
-/// silently drops victim groups that live in another domain, so a thief
-/// whose only available work is cross-socket finds nothing. A liveness
-/// backstop performs the suppressed steal anyway after a few fruitless
-/// attempts — bumping [`planted_rescues`] — so the bug manifests as a
-/// *detectable counter*, never a hang. Under a single-domain (default)
-/// topology the bug is inert: no victim group is ever cross-domain.
-#[cfg(feature = "planted-cross-starvation")]
-pub fn plant_cross_starvation() {
-    PLANT_CROSS_STARVATION.store(true, Ordering::SeqCst);
-}
-
-/// Disarm the planted cross-domain starvation bug.
-#[cfg(feature = "planted-cross-starvation")]
-pub fn unplant_cross_starvation() {
-    PLANT_CROSS_STARVATION.store(false, Ordering::SeqCst);
-}
-
-/// Process-wide count of backstop rescues performed while the planted
-/// cross-domain starvation bug was armed. A correct run has zero.
-#[cfg(feature = "planted-cross-starvation")]
-#[must_use]
-pub fn planted_rescues() -> u64 {
-    PLANTED_RESCUES.load(Ordering::SeqCst)
-}
-
 /// One SplitMix64 step: advances `state` and returns the next output.
 #[must_use]
 pub fn splitmix64(state: &mut u64) -> u64 {
@@ -122,22 +84,35 @@ pub struct DetConfig {
 }
 
 impl Default for DetConfig {
+    /// [`DetConfig::from_vars`] over the process environment, printing each
+    /// warning to stderr.
     fn default() -> Self {
-        let stall_ms = std::env::var("GLT_DET_STALL_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(10_000);
-        DetConfig {
+        let (cfg, warnings) = Self::from_vars(|name| std::env::var(name).ok());
+        for w in warnings {
+            eprintln!("glt-det: {w}");
+        }
+        cfg
+    }
+}
+
+impl DetConfig {
+    /// Seed 0, fully randomized, with the stall timeout from
+    /// `GLT_DET_STALL_MS` as `lookup` serves it (10000 ms when absent or
+    /// malformed; clamped ≥ 1). Returns one warning per malformed knob.
+    #[must_use]
+    pub fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> (Self, Vec<String>) {
+        let mut vars = glt::config::Vars { lookup: &lookup, warnings: Vec::new() };
+        let stall_ms: u64 = vars.number("GLT_DET_STALL_MS").unwrap_or(10_000);
+        let cfg = DetConfig {
             seed: 0,
             max_random_decisions: u64::MAX,
             stall_timeout: Duration::from_millis(stall_ms.max(1)),
             record_events: true,
             max_events: 1 << 16,
-        }
+        };
+        (cfg, vars.warnings)
     }
-}
 
-impl DetConfig {
     /// Defaults with the given seed.
     #[must_use]
     pub fn with_seed(seed: u64) -> Self {
@@ -445,9 +420,9 @@ pub struct DetScheduler {
     topo: Topology,
     /// Whether thieves may reach across a domain boundary.
     cross_domain: bool,
-    /// Fruitless steal attempts while the planted bug suppressed
-    /// remote-only work (drives the liveness backstop).
-    #[cfg(feature = "planted-cross-starvation")]
+    /// Fruitless steal attempts while the planted cross-domain starvation
+    /// suppressed remote-only work (drives the liveness backstop).
+    #[cfg(feature = "planted")]
     starved_attempts: AtomicU64,
 }
 
@@ -475,7 +450,7 @@ impl DetScheduler {
             push_tokens: AtomicU64::new(0),
             topo: cfg.resolved_topology(),
             cross_domain: cfg.cross_domain_steal,
-            #[cfg(feature = "planted-cross-starvation")]
+            #[cfg(feature = "planted")]
             starved_attempts: AtomicU64::new(0),
         }
     }
@@ -525,16 +500,19 @@ impl DetScheduler {
         self.stepper.record(&mut st, kind);
     }
 
-    /// The planted cross-domain starvation bug: while armed, drop every
-    /// victim group outside the thief's domain. When that leaves a thief
-    /// with *no* groups although remote work exists, count the fruitless
-    /// attempt; after a handful, perform the suppressed steal anyway (the
-    /// liveness backstop) and record the rescue. Deterministic under the
-    /// stepper: attempts are counted in schedule order.
-    #[cfg(feature = "planted-cross-starvation")]
+    /// The planted cross-domain starvation bug: while
+    /// `Fault::CrossStarvation` is armed in this runtime's `glt::planted`
+    /// scope, drop every victim group outside the thief's domain. When that
+    /// leaves a thief with *no* groups although remote work exists, count
+    /// the fruitless attempt; after a handful, perform the suppressed steal
+    /// anyway (the liveness backstop) and record the rescue as a hit.
+    /// Deterministic under the stepper: attempts are counted in schedule
+    /// order.
+    #[cfg(feature = "planted")]
     fn sabotage_cross_groups(&self, groups: Vec<Vec<usize>>, own_domain: usize) -> Vec<Vec<usize>> {
+        use glt::planted::Fault;
         const BACKSTOP_AFTER: u64 = 6;
-        if !PLANT_CROSS_STARVATION.load(Ordering::Relaxed) {
+        if !glt::planted::armed(Fault::CrossStarvation) {
             return groups;
         }
         let (same, cross): (Vec<Vec<usize>>, Vec<Vec<usize>>) =
@@ -544,7 +522,7 @@ impl DetScheduler {
         }
         if self.starved_attempts.fetch_add(1, Ordering::Relaxed) + 1 >= BACKSTOP_AFTER {
             self.starved_attempts.store(0, Ordering::Relaxed);
-            PLANTED_RESCUES.fetch_add(1, Ordering::Relaxed);
+            glt::planted::record(Fault::CrossStarvation);
             return cross;
         }
         Vec::new()
@@ -628,7 +606,7 @@ impl Scheduler for DetScheduler {
         if !self.cross_domain {
             groups.retain(|g| self.topo.domain_of_rank(g[0]) == own_domain);
         }
-        #[cfg(feature = "planted-cross-starvation")]
+        #[cfg(feature = "planted")]
         let groups = self.sabotage_cross_groups(groups, own_domain);
         if groups.is_empty() {
             return None;

@@ -43,6 +43,8 @@ pub mod coop;
 pub mod counters;
 pub mod feb;
 pub mod park;
+#[cfg(feature = "planted")]
+pub mod planted;
 pub mod runtime;
 pub mod sched;
 pub mod scope;

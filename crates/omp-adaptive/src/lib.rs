@@ -431,15 +431,10 @@ impl AdaptiveRuntime {
             // exercises — and a failing seed replays/shrinks — both
             // outcomes at every callsite.
             let d = self.ult.det_scheduler().expect("det commit without det backend");
-            let drawn =
-                if d.stepper().external_decision(callsite, 2) == 1 { STATE_ULT } else { STATE_OS };
-            if cfg!(feature = "planted-bad-commit") {
-                // Sabotage: ignore the draw, pin to the OS engine (the
-                // losing mechanism for every workload in this suite's
-                // single-core CI environment).
-                STATE_OS
+            if d.stepper().external_decision(callsite, 2) == 1 {
+                STATE_ULT
             } else {
-                drawn
+                STATE_OS
             }
         } else {
             let mean_os = slot.ns_os.load(Ordering::Relaxed) / u64::from(po.max(1));
@@ -454,19 +449,17 @@ impl AdaptiveRuntime {
             } else {
                 mean_os < mean_ult
             };
-            let honest = if os_wins { STATE_OS } else { STATE_ULT };
-            if cfg!(feature = "planted-bad-commit") {
-                // Sabotage: invert the cost comparison — commit to the
-                // mechanism the model itself measured as slower.
-                if honest == STATE_OS {
-                    STATE_ULT
-                } else {
-                    STATE_OS
-                }
+            if os_wins {
+                STATE_OS
             } else {
-                honest
+                STATE_ULT
             }
         };
+        // Planted wrong commit (`Fault::BadCommit`): ignore the draw and
+        // pin the OS engine (the losing mechanism for every workload in
+        // the conformance suite).
+        #[cfg(feature = "planted")]
+        let pick = if glt::planted::armed(glt::planted::Fault::BadCommit) { STATE_OS } else { pick };
         if slot
             .state
             .compare_exchange(STATE_EXPLORING, pick, Ordering::AcqRel, Ordering::Acquire)

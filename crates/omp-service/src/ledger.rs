@@ -27,15 +27,16 @@ struct Slot {
 /// to exactly one slot — the conservation the isolation tests pin down
 /// (`sum(slot jobs) == jobs admitted`, per-slot counts exact).
 ///
-/// With `--features planted-tenant-bleed`, [`TenantLedger::charge`] routes
-/// the tenant id through a shared scratch cell with a scheduling point in
-/// the window: two tenants charging concurrently on one runtime can
-/// misdirect a charge (a read-yield-write lost update on the *identity*,
-/// the cross-tenant analog of the planted lost update). The deterministic
-/// seed sweep over [`colocated_accounting_probe`] must catch it.
+/// With `--features planted` and `Fault::TenantBleed` armed,
+/// [`TenantLedger::charge`] routes the tenant id through a shared scratch
+/// cell with a scheduling point in the window: two tenants charging
+/// concurrently on one runtime can misdirect a charge (a read-yield-write
+/// lost update on the *identity*, the cross-tenant analog of the planted
+/// lost update). The deterministic seed sweep over
+/// [`colocated_accounting_probe`] must catch it.
 pub struct TenantLedger {
     slots: Vec<Slot>,
-    #[cfg(feature = "planted-tenant-bleed")]
+    #[cfg(feature = "planted")]
     scratch: AtomicU64,
 }
 
@@ -51,7 +52,7 @@ impl TenantLedger {
                     counters: Mutex::new(CounterSnapshot::default()),
                 })
                 .collect(),
-            #[cfg(feature = "planted-tenant-bleed")]
+            #[cfg(feature = "planted")]
             scratch: AtomicU64::new(0),
         }
     }
@@ -67,14 +68,16 @@ impl TenantLedger {
     /// # Panics
     /// If `tenant` is out of range.
     pub fn charge(&self, tenant: usize, ok: bool, delta: &CounterSnapshot) {
-        #[cfg(feature = "planted-tenant-bleed")]
-        let tenant = {
+        #[cfg(feature = "planted")]
+        let tenant = if glt::planted::armed(glt::planted::Fault::TenantBleed) {
             // Planted bug: park the id in a cell every charger shares, hit
             // a scheduling point, then trust the cell. Another tenant's
             // charge landing in the window redirects this one.
             self.scratch.store(tenant as u64, Ordering::SeqCst);
             glt::coop::yield_to_scheduler();
             self.scratch.load(Ordering::SeqCst) as usize
+        } else {
+            tenant
         };
         let slot = &self.slots[tenant];
         if ok {
@@ -113,9 +116,9 @@ impl TenantLedger {
 /// tenants complete `jobs_per_tenant` jobs each *as concurrent tasks on one
 /// runtime*, every completion charging its own slot. Returns `true` iff the
 /// ledger ends exact — every slot holds exactly its own jobs. With the
-/// planted bleed compiled in, seeded schedules that interleave two charges
+/// planted bleed armed, seeded schedules that interleave two charges
 /// inside the scratch window misdirect one, and the probe returns `false`;
-/// clean builds must pass on every seed.
+/// unarmed runs must pass on every seed.
 #[must_use]
 pub fn colocated_accounting_probe(
     rt: &dyn OmpRuntime,
@@ -161,7 +164,6 @@ mod tests {
         assert_eq!(l.jobs_charged(), 3);
     }
 
-    #[cfg(not(feature = "planted-tenant-bleed"))]
     #[test]
     fn clean_probe_is_exact_on_a_real_runtime() {
         let rt = workloads::RuntimeKind::GltoAbt.build(omp::OmpConfig::with_threads(2));

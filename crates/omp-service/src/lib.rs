@@ -16,8 +16,8 @@
 //!   budget, and a [`workloads::RuntimeKind`] choice.
 //! * [`TenantLedger`] — per-tenant accounting (job verdicts + accumulated
 //!   counter deltas), the state the planted cross-tenant bleed
-//!   (`--features planted-tenant-bleed`) corrupts and the deterministic
-//!   seed sweep must catch.
+//!   (`--features planted`, `Fault::TenantBleed`) corrupts and the
+//!   deterministic seed sweep must catch.
 //! * Service counters on the substrate's own [`glt::Counters`] block —
 //!   `jobs_admitted` / `jobs_queued` / `jobs_rejected` /
 //!   `tenant_steals_leaked` — with conservation laws checked by

@@ -69,68 +69,11 @@ impl LockKind {
 
 // ------------------------------------------------- planted lost-wakeup bug
 //
-// Test-only fault injection (`--features planted-lost-wakeup`): when armed,
-// the next MCS release pops a waiter from the queue *without* granting it —
-// a classic lost wakeup. A victim-side backstop detects the orphaned node
-// after ~64 yields, repairs it (the hand-off left the lock assigned to the
-// victim, so it may simply proceed) and bumps a repair counter; the
-// conformance suite's planted case fails iff a repair happened, which is
-// what the 64-seed deterministic sweep must catch, replay, and shrink.
-//
-// The arming and repair state is **per runtime instance**, keyed by the
-// calling thread's innermost registered runtime
-// (`glt::coop::current_runtime_id`): under the multi-tenant service layer
-// N independent `OmpRuntime` instances coexist in one process, and a
-// process-global armed flag would let one tenant's fault arming fire — or
-// be consumed — inside another tenant's run.
-
-#[cfg(feature = "planted-lost-wakeup")]
-mod planted {
-    use std::sync::atomic::{AtomicBool, AtomicU64};
-    use std::sync::{Arc, Mutex, OnceLock};
-
-    /// One runtime instance's fault-injection state.
-    #[derive(Default)]
-    pub struct Cell {
-        pub armed: AtomicBool,
-        pub repairs: AtomicU64,
-    }
-
-    fn registry() -> &'static Mutex<Vec<(Option<u64>, Arc<Cell>)>> {
-        static REGISTRY: OnceLock<Mutex<Vec<(Option<u64>, Arc<Cell>)>>> = OnceLock::new();
-        REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
-    /// The fault cell of the calling thread's runtime instance (threads
-    /// registered with no runtime share one fallback cell), created on
-    /// first use.
-    pub fn current_cell() -> Arc<Cell> {
-        let rid = glt::coop::current_runtime_id();
-        let mut reg = registry().lock().expect("planted registry poisoned");
-        if let Some((_, cell)) = reg.iter().find(|(r, _)| *r == rid) {
-            return Arc::clone(cell);
-        }
-        let cell = Arc::new(Cell::default());
-        reg.push((rid, Arc::clone(&cell)));
-        cell
-    }
-}
-
-/// Arm the planted bug **for the calling thread's runtime instance**: the
-/// next contended MCS release by one of that runtime's threads drops its
-/// waiter. Arming never leaks into coexisting runtime instances.
-#[cfg(feature = "planted-lost-wakeup")]
-pub fn plant_drop_one() {
-    planted::current_cell().armed.store(true, Ordering::SeqCst);
-}
-
-/// Number of lost wakeups the victim backstop has repaired so far, scoped
-/// like [`plant_drop_one`] to the calling thread's runtime instance.
-#[cfg(feature = "planted-lost-wakeup")]
-#[must_use]
-pub fn planted_repairs() -> u64 {
-    planted::current_cell().repairs.load(Ordering::SeqCst)
-}
+// Test-only (`--features planted`): once `Fault::LostWakeup` is armed in
+// a runtime's `glt::planted` scope, its next contended MCS release pops a
+// waiter *without* granting it. The victim's backstop finds the orphaned
+// node after ~64 yields, repairs it (the lock is already assigned to the
+// victim) and records a hit.
 
 /// One MCS waiter's wait word. Cache-line padded so neighbouring waiters'
 /// grant flags never share a line (the point of MCS: each waiter spins on
@@ -148,7 +91,7 @@ struct McsInner {
     /// Recycled nodes: a waiter returns its node here after being granted,
     /// so steady-state contention allocates nothing.
     free: Vec<Arc<McsNode>>,
-    #[cfg(feature = "planted-lost-wakeup")]
+    #[cfg(feature = "planted")]
     dropped: Option<Arc<McsNode>>,
 }
 
@@ -269,7 +212,7 @@ impl OmpLock {
                 yields += 1;
                 // Victim backstop for the planted lost wakeup: after ~64
                 // fruitless yields, check whether a release orphaned us.
-                #[cfg(feature = "planted-lost-wakeup")]
+                #[cfg(feature = "planted")]
                 if yields % 64 == 0 {
                     let mut g = self.mcs.lock();
                     if g.dropped.as_ref().is_some_and(|d| Arc::ptr_eq(d, &node)) {
@@ -278,7 +221,7 @@ impl OmpLock {
                         // repair and proceed as the holder.
                         g.dropped = None;
                         g.free.push(Arc::clone(&node));
-                        planted::current_cell().repairs.fetch_add(1, Ordering::SeqCst);
+                        glt::planted::record(glt::planted::Fault::LostWakeup);
                         drop(g);
                         coop::with_sync_counters(|c| {
                             Counters::bump(&c.lock_spins, spins);
@@ -308,9 +251,8 @@ impl OmpLock {
                 let mut g = self.mcs.lock();
                 debug_assert!(g.held, "unset of an unheld omp lock");
                 if let Some(node) = g.queue.pop_front() {
-                    #[cfg(feature = "planted-lost-wakeup")]
-                    if planted::current_cell().armed.swap(false, Ordering::SeqCst)
-                        && g.dropped.is_none()
+                    #[cfg(feature = "planted")]
+                    if glt::planted::disarm(glt::planted::Fault::LostWakeup) && g.dropped.is_none()
                     {
                         // Planted bug: drop the waiter without granting.
                         g.dropped = Some(node);
@@ -678,56 +620,6 @@ mod tests {
         coop::register(9100, 0, Arc::clone(&w));
         assert_eq!(under_a, thread_token(), "per-runtime token is stable");
         coop::unregister(9100);
-    }
-
-    #[cfg(feature = "planted-lost-wakeup")]
-    #[test]
-    fn planted_arming_is_scoped_per_runtime() {
-        // Arm the fault under runtime 9201, then run a fully contended MCS
-        // storm under runtime 9202: the foreign arming must neither fire
-        // nor be consumed there. Back under 9201, it is still pending and
-        // fires on the next contended release.
-        let w1: Arc<dyn coop::SyncWaiter> = Arc::new(TestWaiter { counters: Counters::new() });
-        let w2: Arc<dyn coop::SyncWaiter> = Arc::new(TestWaiter { counters: Counters::new() });
-        coop::register(9201, 0, Arc::clone(&w1));
-        plant_drop_one();
-        coop::unregister(9201);
-
-        coop::register(9202, 0, Arc::clone(&w2));
-        let l = Arc::new(OmpLock::with_kind(LockKind::Mcs, 4));
-        l.set();
-        let l2 = l.clone();
-        let w2b = Arc::clone(&w2);
-        let t = std::thread::spawn(move || {
-            coop::register(9202, 0, w2b);
-            l2.with(|| {});
-            coop::unregister(9202);
-        });
-        while l.mcs.lock().queue.is_empty() {
-            std::thread::yield_now();
-        }
-        l.unset();
-        t.join().unwrap();
-        assert_eq!(planted_repairs(), 0, "runtime 9202 must not see 9201's arming");
-        coop::unregister(9202);
-
-        coop::register(9201, 0, Arc::clone(&w1));
-        let l = Arc::new(OmpLock::with_kind(LockKind::Mcs, 4));
-        l.set();
-        let l2 = l.clone();
-        let w1b = Arc::clone(&w1);
-        let t = std::thread::spawn(move || {
-            coop::register(9201, 0, w1b);
-            l2.with(|| {});
-            coop::unregister(9201);
-        });
-        while l.mcs.lock().queue.is_empty() {
-            std::thread::yield_now();
-        }
-        l.unset();
-        t.join().unwrap();
-        assert_eq!(planted_repairs(), 1, "arming fires in the runtime that armed it");
-        coop::unregister(9201);
     }
 
     #[test]
